@@ -3,7 +3,7 @@
 Four trained-shape MLPs serve the same total closed-loop traffic two ways:
 
 * ``sequential`` — one model at a time: each model's clients run against a
-  dedicated :class:`~repro.serving.ModelServer` in its own phase, and the
+  dedicated :func:`~repro.api.serve` deployment in its own phase, and the
   aggregate throughput divides total completions by the *sum* of phase
   durations.  This is what a single-model serving stack does with a model
   fleet: swap, serve, swap.  The dedicated server gets its strongest shape
@@ -45,14 +45,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.api import serve
 from repro.models import FeedForwardConfig, FeedForwardNetwork
-from repro.serving import (
-    FleetRouter,
-    LoadGenerator,
-    ModelServer,
-    Replica,
-    warm_up,
-)
+from repro.serving import FleetRouter, LoadGenerator, Replica, warm_up
 
 from conftest import print_report
 
@@ -137,11 +132,13 @@ def _measure_sequential(requests_per_client: int) -> dict:
     duration = 0.0
     latencies_p99 = []
     for name in _model_names():
-        server = ModelServer(
-            [Replica.resident(_model(_seed(name)), name=f"{name}/replica0")],
+        server = serve(
+            _model(_seed(name)),
             max_batch_size=COMPUTE_BATCH,
             max_wait_ms=MAX_WAIT_MS,
             max_queue=8 * CLIENTS_PER_MODEL * FLEET_SIZE,
+            name=name,
+            start=False,
         )
         with server:
             warm_up(server, inputs[:1], requests=4)

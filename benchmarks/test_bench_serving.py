@@ -1,12 +1,12 @@
 """E13 — online serving: dynamic batching throughput at exact correctness.
 
-One trained-shape MLP serves closed-loop traffic through a
-:class:`~repro.serving.ModelServer` under three configurations sharing one
+One trained-shape MLP serves closed-loop traffic through a one-replica
+:func:`~repro.api.serve` deployment under three configurations sharing one
 compute geometry (``COMPUTE_BATCH`` rows per forward):
 
 * ``unbatched`` — ``max_batch_size=1``: every request pays a full
   geometry-sized forward alone (the no-batching baseline);
-* ``batched`` — ``max_batch_size=COMPUTE_BATCH``: the dynamic batcher
+* ``batched`` — ``max_batch_size=COMPUTE_BATCH``: the model's fill window
   coalesces the closed-loop clients' requests into full micro-batches;
 * ``batched_spilled`` — the batched configuration served by a spilled
   replica whose arena holds ~60 % of the model's parameter bytes.
@@ -35,8 +35,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.api import serve
 from repro.models import FeedForwardConfig, FeedForwardNetwork
-from repro.serving import LoadGenerator, ModelServer, Replica, warm_up
+from repro.serving import LoadGenerator, Replica, RouterHandle, warm_up
 
 from conftest import print_report
 
@@ -77,29 +78,30 @@ def _spill_budget(model: FeedForwardNetwork) -> int:
     return int(sum(p.data.nbytes for p in model.parameters()) * SPILL_FRACTION)
 
 
-def _make_server(config: str) -> ModelServer:
+def _make_server(config: str) -> RouterHandle:
+    model = _model()
     if config == "unbatched":
-        return ModelServer(
-            [Replica.resident(_model())],
+        return serve(
+            model,
             max_batch_size=1,
             compute_batch_size=COMPUTE_BATCH,
             max_wait_ms=0.0,
             max_queue=4 * CLIENTS,
+            start=False,
         )
     if config == "batched":
-        replica = Replica.resident(_model())
+        budget = None
     elif config == "batched_spilled":
-        model = _model()
-        replica = Replica.spilled(
-            model, memory_budget=_spill_budget(model), name="bench-spilled"
-        )
+        budget = _spill_budget(model)
     else:  # pragma: no cover - defensive
         raise ValueError(config)
-    return ModelServer(
-        [replica],
+    return serve(
+        model,
         max_batch_size=COMPUTE_BATCH,
         max_wait_ms=2.0,
         max_queue=4 * CLIENTS,
+        memory_budget=budget,
+        start=False,
     )
 
 

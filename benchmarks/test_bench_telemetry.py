@@ -39,11 +39,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.api import serve
 from repro.data import DataLoader
 from repro.data.dataset import ArrayDataset
 from repro.models import FeedForwardConfig, FeedForwardNetwork
 from repro.optim import Adam
-from repro.serving import LoadGenerator, ModelServer, Replica, warm_up
+from repro.serving import LoadGenerator, warm_up
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.training import ShardedModelExecutor
 
@@ -164,12 +165,13 @@ def _serve_throughput(telemetry) -> dict:
     rng = np.random.default_rng(23)
     inputs = rng.normal(size=(64, SERVE_WIDTH)).astype(np.float32)
     requests = 30 if (_PERF_CHECK or _PERF_LONG) else 10
-    server = ModelServer(
-        [Replica.resident(_serve_model())],
+    server = serve(
+        _serve_model(),
         max_batch_size=COMPUTE_BATCH,
         max_wait_ms=2.0,
         max_queue=4 * CLIENTS,
         telemetry=telemetry,
+        start=False,
     )
     with server:
         warm_up(server, inputs[:1], requests=4)

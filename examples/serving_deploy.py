@@ -107,7 +107,7 @@ def main() -> None:
     spilled_report = LoadGenerator(spilled, request, clients=16,
                                    requests_per_client=25).run()
     spilled_reference = spilled.request(inputs[:1])
-    stats = spilled.replicas[0].spill_stats()
+    stats = spilled.entry.replicas[0].spill_stats()
     spilled.stop()
 
     assert np.array_equal(reference, spilled_reference), "spilled must be exact"

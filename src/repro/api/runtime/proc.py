@@ -399,16 +399,16 @@ def _replica_child_main(spec: ModelSpec, conn, telemetry_enabled: bool = False) 
 class ProcessReplica:
     """A replica whose forwards run in a persistent child process.
 
-    Drop-in for :class:`~repro.serving.replica.Replica` wherever a server
-    or router calls ``infer(arrays, pad_to)`` / ``close()``: the child is
+    Drop-in for :class:`~repro.serving.replica.Replica` wherever the
+    router calls ``infer(arrays, pad_to)`` / ``close()``: the child is
     spawned lazily (or eagerly via :meth:`start`), builds its model from
     the :class:`ModelSpec` — mmapping registry weights read-only — and then
     answers micro-batches shipped through two reused shared-memory
     segments.
 
-    One request is in flight per replica at a time (the internal lock
-    serialises callers — matching how a thread replica occupies its serve
-    loop).  If the child dies mid-request the caller gets
+    One request is in flight per replica at a time (the router hands a
+    private replica one batch at a time, and the internal lock serialises
+    any other callers).  If the child dies mid-request the caller gets
     :class:`~repro.exceptions.ReplicaCrashedError` and the *next* request
     respawns a fresh child; :attr:`restarts` counts those respawns.
 

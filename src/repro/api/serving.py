@@ -1,16 +1,16 @@
 """``repro.api.serve`` / ``serve_fleet`` — declarative online inference.
 
-One call turns a (trained) model into a running
-:class:`~repro.serving.ModelServer`: replica construction, sharding and
+One call turns a (trained) model into a running one-model
+:class:`~repro.serving.FleetRouter`, reached through its
+:class:`~repro.serving.RouterHandle`: replica construction, sharding and
 spill-manager plumbing for over-memory models, and batching configuration
 all happen here, mirroring how ``Experiment.run(memory_budget=...)`` hides
 the training-side spill wiring.  :func:`serve_fleet` does the same for a
-*registry*: every published model behind one
-:class:`~repro.serving.FleetRouter` sharing one replica pool and one memory
-budget.  ``SelectionResult.deploy`` composes these with the
-:class:`~repro.serving.ModelRegistry` to go from an experiment's winner to
-a server — or into a shared fleet — in one step (see ``docs/serving.md``
-and ``docs/router.md``).
+*registry*: every published model behind one router sharing one worker
+pool and one memory budget.  ``SelectionResult.deploy`` composes these with
+the :class:`~repro.serving.ModelRegistry` to go from an experiment's winner
+to a deployment — or into a shared fleet — in one step (see
+``docs/serving.md`` and ``docs/router.md``).
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from repro.exceptions import ConfigurationError
 from repro.models.base import ShardableModel
 from repro.serving.registry import ModelRegistry
 from repro.serving.replica import Replica
-from repro.serving.router import FleetRouter
-from repro.serving.server import ModelServer
+from repro.serving.router import FleetRouter, RouterHandle
 
 #: what ``serve`` accepts: a live model, a zero-argument factory that
 #: builds one fresh copy per replica, or a picklable
@@ -48,8 +47,8 @@ def serve(
     start: bool = True,
     replica_mode: str = "thread",
     telemetry=None,
-) -> ModelServer:
-    """Deploy ``model`` behind a dynamically batched replica pool.
+) -> RouterHandle:
+    """Deploy ``model`` behind a batched pool of private replicas.
 
     ``model`` is a live :class:`~repro.models.base.ShardableModel` — shared
     read-only by every replica — or a zero-argument factory called once per
@@ -73,20 +72,24 @@ def serve(
     single arena holds ``memory_budget`` bytes — over-memory models answer
     bit-identically to resident ones from a bounded device footprint.
 
-    The remaining knobs configure the :class:`~repro.serving.ModelServer`:
-    ``max_batch_size``/``max_wait_ms`` bound the dynamic batcher,
+    The replicas join a one-model :class:`~repro.serving.FleetRouter`
+    named ``name`` with ``replicas`` workers; each replica runs one batch
+    at a time.  ``max_batch_size``/``max_wait_ms`` bound the model's fill
+    window (see :meth:`~repro.serving.FleetRouter.add_model`),
     ``max_queue`` bounds admission, ``timeout_ms`` sets the default
     per-request deadline, and ``compute_batch_size`` fixes the execution
-    geometry (default ``max_batch_size``) — servers sharing weights and
+    geometry (default ``max_batch_size``) — deployments sharing weights and
     geometry answer bit-identically regardless of batching.
 
-    With ``start=True`` (default) the server is already running; use it as
-    a context manager or call ``stop()`` when done.
+    Returns the model's :class:`~repro.serving.RouterHandle`; its
+    ``router`` attribute is the router itself.  With ``start=True``
+    (default) it is already running; use it as a context manager or call
+    ``stop()`` when done.
 
     ``telemetry`` (a :class:`repro.telemetry.Telemetry` recorder) traces
-    submit→batch→forward spans and registers the server's latency stats as
-    a snapshot collector; process replicas flush their child-side spans
-    back with each reply.  ``None`` keeps the no-op recorder.
+    submit→batch→forward spans and registers the router's metrics as a
+    snapshot collector; process replicas flush their child-side spans back
+    with each reply.  ``None`` keeps the no-op recorder.
 
     Example::
 
@@ -108,6 +111,7 @@ def serve(
     # Imported lazily: repro.api.runtime imports this facade's package peers.
     from repro.api.runtime.proc import ModelSpec, ProcessReplica
 
+    names = [f"{name}/replica{index}" for index in range(replicas)]
     if replica_mode == "process":
         if not isinstance(model, ModelSpec):
             raise ConfigurationError(
@@ -121,68 +125,57 @@ def serve(
                 "mmaps shared through the page cache; drop memory_budget or "
                 "use replica_mode='thread'"
             )
-        children = [
-            ProcessReplica(model, name=f"{name}/replica{index}", telemetry=telemetry)
-            for index in range(replicas)
+        built = [
+            ProcessReplica(model, name=replica_name, telemetry=telemetry)
+            for replica_name in names
         ]
-        server = ModelServer(
-            children,
-            max_batch_size=max_batch_size,
-            max_wait_ms=max_wait_ms,
-            max_queue=max_queue,
-            timeout_ms=timeout_ms,
-            compute_batch_size=compute_batch_size,
-            name=name,
-            telemetry=telemetry,
-        )
-        return server.start() if start else server
-
-    factory: Optional[Callable[[], ShardableModel]]
-    if isinstance(model, ModelSpec):
-        factory = model.build
-    elif callable(model) and not isinstance(model, ShardableModel):
-        factory = model
     else:
-        factory = None
-    if memory_budget is not None and replicas > 1 and factory is None:
-        raise ConfigurationError(
-            "spilled serving with multiple replicas needs a model factory: "
-            "each replica's spill manager evicts/restores its own parameter "
-            "arrays, so replicas cannot share one model object — pass "
-            "serve(lambda: build_model(), ...) instead of a live model"
-        )
-
-    built = []
-    for index in range(replicas):
-        instance = factory() if factory is not None else model
-        replica_name = f"{name}/replica{index}"
-        if memory_budget is not None:
-            built.append(
-                Replica.spilled(
-                    instance,
-                    memory_budget=memory_budget,
-                    num_shards=num_shards,
-                    eviction_policy=eviction_policy,
-                    prefetch=prefetch,
-                    spill_dir=spill_dir,
-                    name=replica_name,
-                    telemetry=telemetry,
-                )
-            )
+        factory: Optional[Callable[[], ShardableModel]]
+        if isinstance(model, ModelSpec):
+            factory = model.build
+        elif callable(model) and not isinstance(model, ShardableModel):
+            factory = model
         else:
-            built.append(Replica.resident(instance, name=replica_name))
+            factory = None
+        if memory_budget is not None and replicas > 1 and factory is None:
+            raise ConfigurationError(
+                "spilled serving with multiple replicas needs a model factory: "
+                "each replica's spill manager evicts/restores its own parameter "
+                "arrays, so replicas cannot share one model object — pass "
+                "serve(lambda: build_model(), ...) instead of a live model"
+            )
+        built = []
+        for replica_name in names:
+            instance = factory() if factory is not None else model
+            if memory_budget is None:
+                built.append(Replica.resident(instance, name=replica_name))
+            else:
+                built.append(
+                    Replica.spilled(
+                        instance,
+                        memory_budget=memory_budget,
+                        num_shards=num_shards,
+                        eviction_policy=eviction_policy,
+                        prefetch=prefetch,
+                        spill_dir=spill_dir,
+                        name=replica_name,
+                        telemetry=telemetry,
+                    )
+                )
 
-    server = ModelServer(
+    router = FleetRouter(
+        replicas=replicas, timeout_ms=timeout_ms, name=name, telemetry=telemetry
+    )
+    router.add_model(
+        name,
         built,
         max_batch_size=max_batch_size,
-        max_wait_ms=max_wait_ms,
-        max_queue=max_queue,
-        timeout_ms=timeout_ms,
         compute_batch_size=compute_batch_size,
-        name=name,
-        telemetry=telemetry,
+        max_queue=max_queue,
+        max_wait_ms=max_wait_ms,
     )
-    return server.start() if start else server
+    handle = router.handle(name)
+    return handle.start() if start else handle
 
 
 def serve_fleet(

@@ -3,30 +3,33 @@
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import AutogradError
 
-_grad_enabled = True
+#: per-thread recording flag: serving workers run ``no_grad`` forwards
+#: concurrently with each other and with training threads, and one
+#: thread's scope must neither leak into nor be undone by another's
+_grad_mode = threading.local()
 
 
 def is_grad_enabled() -> bool:
-    """Whether new operations are currently recorded onto the autograd graph."""
-    return _grad_enabled
+    """Whether new operations on this thread are recorded onto the autograd graph."""
+    return getattr(_grad_mode, "enabled", True)
 
 
 @contextlib.contextmanager
 def no_grad() -> Iterator[None]:
-    """Context manager that disables graph recording (e.g. for evaluation)."""
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
+    """Disable graph recording on this thread for the scope (e.g. evaluation)."""
+    previous = is_grad_enabled()
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = previous
+        _grad_mode.enabled = previous
 
 
 def _ops():

@@ -107,7 +107,7 @@ class SelectionResult:
         Without ``router``, ``serve_options`` are forwarded to
         :func:`repro.api.serve` (``replicas``, ``max_batch_size``,
         ``memory_budget``, ...) and the returned
-        :class:`~repro.serving.ModelServer` is already running.  With
+        :class:`~repro.serving.RouterHandle` is already running.  With
         ``router`` (a :class:`~repro.serving.FleetRouter`), the trial joins
         the shared fleet instead — registered under its trial id, served
         from the router's common replica pool and memory budget —

@@ -6,7 +6,7 @@ Two client models, picked by ``arrival_rate_rps``:
   response, then sends the next.  Offered load self-regulates to what the
   server sustains instead of queueing without bound, and ``clients``
   concurrent loops hold at most ``clients`` requests in flight — exactly
-  the pressure that lets the dynamic batcher fill micro-batches.
+  the pressure that lets the router fill micro-batches.
 * **Open loop** (``arrival_rate_rps`` set) — requests are *injected* on a
   fixed schedule regardless of how fast responses come back, the model of
   real traffic: users do not slow down because the server is busy.  Each
@@ -38,16 +38,19 @@ from repro.exceptions import (
     ServerOverloadedError,
     ServingError,
 )
-from repro.serving.batcher import PendingResponse
-from repro.serving.router import FleetRouter, RouterHandle
-from repro.serving.server import ModelServer, RequestArrays
+from repro.serving.router import (
+    FleetRouter,
+    PendingResponse,
+    RequestArrays,
+    RouterHandle,
+)
 from repro.serving.stats import latency_summary
 
 #: builds the arrays of one request: ``make_request(client_index, request_index)``
 RequestFactory = Callable[[int, int], RequestArrays]
 
-#: what a generator can drive: a server, one model's handle, or a whole fleet
-LoadTarget = Union[ModelServer, RouterHandle, FleetRouter]
+#: what a generator can drive: one model's handle or a whole fleet
+LoadTarget = Union[RouterHandle, FleetRouter]
 
 
 def mix_schedule(mix: Dict[str, float], length: int) -> List[str]:
@@ -131,8 +134,8 @@ class LoadGenerator:
     for realistic traffic; return the same arrays for a pure-throughput
     run).
 
-    The target may be a :class:`~repro.serving.server.ModelServer`, a
-    :class:`~repro.serving.router.RouterHandle`, or — with ``mix`` — a
+    The target may be a :class:`~repro.serving.router.RouterHandle` (what
+    :func:`repro.api.serve` returns), or — with ``mix`` — a
     whole :class:`~repro.serving.router.FleetRouter`, in which case every
     request is routed to a model by the deterministic weighted interleaving
     of :func:`mix_schedule`.
@@ -198,7 +201,7 @@ class LoadGenerator:
     # ------------------------------------------------------------------ #
     def run(self) -> LoadReport:
         """Run every client loop to completion and aggregate the outcomes."""
-        # Imported lazily for the same api-cycle reason as ModelServer.start.
+        # Imported lazily for the same api-cycle reason as FleetRouter.start.
         from repro.api.runtime.pool import ThreadWorkerPool
 
         open_loop = self.arrival_rate_rps is not None
@@ -328,7 +331,7 @@ class LoadGenerator:
 
 
 def warm_up(
-    server: Union[ModelServer, RouterHandle],
+    server: RouterHandle,
     arrays: RequestArrays,
     requests: int = 4,
 ) -> None:

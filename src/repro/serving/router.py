@@ -1,34 +1,45 @@
-"""Fleet routing: one replica pool and one memory budget for many models.
+"""The serving engine: one replica pool and one memory budget for many models.
 
-A :class:`FleetRouter` is the multi-model counterpart of
-:class:`~repro.serving.server.ModelServer` — the paper's framing (many
-models sharing one memory budget) carried to the inference side.  One
-router owns, for *every* published model it serves:
+A :class:`FleetRouter` serves one model or a whole fleet — the paper's
+framing (many models sharing one memory budget) carried to the inference
+side; a single-model deployment (:func:`repro.api.serve`) is a router with
+one model.  One router owns, for *every* model it serves:
 
-* **one replica pool** — ``replicas`` worker threads on the runtime's
+* **one worker pool** — ``replicas`` worker threads on the runtime's
   :class:`~repro.api.runtime.pool.WorkerPool`, each repeatedly asking the
-  scheduler for ``(model, micro-batch)`` work;
+  scheduler for ``(model, replica, micro-batch)`` work;
 * **one spill budget** — a single :class:`~repro.memory.SpillManager`
-  arena that all models' parameters are charged against.  Each model is
-  registered *whole* (Hydra-style: models move as units, not layer
-  fragments): hot models stay device-resident, cold models are evicted to
-  the host cache under pressure and restored on demand, so the fleet's
-  total parameter bytes may exceed the budget;
-* **one scheduler** — continuous batching over per-model waiting queues.
+  arena that all fleet-budgeted models' parameters are charged against.
+  Each such model is registered *whole* (Hydra-style: models move as units,
+  not layer fragments): hot models stay device-resident, cold models are
+  evicted to the host cache under pressure and restored on demand, so the
+  fleet's total parameter bytes may exceed the budget;
+* **one scheduler** — per-model waiting queues, each drained by micro-batch.
 
-**Continuous batching.**  Unlike the single-model
-:class:`~repro.serving.batcher.DynamicBatcher`, which may hold a partial
-batch for up to ``max_wait_ms``, the fleet scheduler never sleeps on
-purpose: the moment a worker is free and any queue is non-empty, it forms
-a micro-batch from whatever requests are ready *now* (whole requests, FIFO
-per model, up to the model's ``max_batch_size`` rows) and dispatches it.
-Under fleet-level load there is always other work to run, so idling a
-worker to fatten one model's batch only adds latency.
+**Replicas.**  Every model entry holds a list of replicas and the idle ones
+that can take its next batch.  A fleet-budgeted model has one shared
+:class:`~repro.serving.replica.Replica` that every worker may run at once
+(under a lease on the shared budget).  *Private* replicas — the resident,
+spilled, or :class:`~repro.api.runtime.proc.ProcessReplica` copies that
+``serve()`` builds, or a :class:`~repro.api.runtime.proc.ModelSpec`'s child
+— run one batch at a time, so a model with no idle replica is skipped
+while others have work.
+
+**Batching.**  By default a model is batched *continuously*: the moment a
+worker is free and its queue is non-empty, a micro-batch forms from
+whatever requests are ready *now* (whole requests, FIFO per model, up to
+the model's ``max_batch_size`` rows).  Under fleet load there is always
+other work to run, so idling a worker to fatten one batch only adds
+latency.  A model added with ``max_wait_ms > 0`` instead holds a partial
+batch for up to that long after its *head* request arrived; a *saturated*
+batch — full, or blocked by a next request that does not fit (requests are
+never split) — dispatches at once.  A windowed model's wait never blocks
+another model's dispatch.
 
 **Weighted-fair selection.**  Queues are picked by stride scheduling:
 every model carries a ``pass`` value advanced by ``rows / weight`` each
-time it is served, and the non-empty queue with the smallest pass goes
-next.  A model with twice the weight gets twice the rows over time, and no
+time it is served, and the ready queue with the smallest pass goes next.
+A model with twice the weight gets twice the rows over time, and no
 backlogged model can be starved — its pass stops advancing while others'
 grow.  A model whose queue was empty re-enters at the scheduler's current
 virtual time, so an idle model cannot bank credit and then monopolise the
@@ -46,8 +57,12 @@ triggers a prefetch, so restores overlap other models' compute.
 **Exactness.**  Every model executes at its own fixed compute geometry
 (micro-batches padded via :func:`~repro.serving.replica.pad_rows`), and
 evict/restore round-trips are bit-exact, so a fleet answer is
-``array_equal`` to a dedicated single-model :class:`ModelServer` at the
-same geometry — whether the model happened to be resident or evicted.
+``array_equal`` to a dedicated single-model deployment at the same
+geometry — whether the model happened to be resident or evicted.
+
+Requests are never reordered within a model, and a request whose deadline
+passes while queued fails with
+:class:`~repro.exceptions.RequestTimeoutError` *before* inference runs.
 
 A watchdog thread (SGLang-style) observes the scheduler from outside:
 every ``watchdog_interval_s`` it logs per-batch throughput and queue
@@ -57,16 +72,15 @@ over a whole interval.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.autograd.tensor import no_grad
-from repro.data.dataloader import Batch
 from repro.exceptions import (
     ConfigurationError,
     RequestTimeoutError,
@@ -80,10 +94,7 @@ from repro.memory import (
     ResidencyState,
     SpillManager,
 )
-from repro.models.base import ShardableModel
-from repro.serving.batcher import InferenceRequest, PendingResponse
-from repro.serving.replica import concat_rows, pad_rows, request_rows, slice_rows
-from repro.serving.server import RequestArrays
+from repro.serving.replica import Replica, concat_rows, request_rows, slice_rows
 from repro.serving.stats import ServerStats
 from repro.telemetry import NULL_TELEMETRY
 from repro.utils.logging import log_context
@@ -96,43 +107,130 @@ _FLEET_ARENA = "fleet0"
 _UNBOUNDED = 1 << 62
 
 
+#: request payload: a field->array dict, or a bare array for the default field
+RequestArrays = Union[Dict[str, np.ndarray], np.ndarray]
+
+
+class PendingResponse:
+    """The caller-side handle of one in-flight request.
+
+    Completed exactly once by the serving machinery, either with the
+    request's output rows or with an exception (timeout, overload at drain,
+    replica failure).  ``result`` blocks the calling thread — the closed-loop
+    client model — with an optional wait bound of its own.
+    """
+
+    def __init__(self) -> None:
+        self._event = threading.Event()
+        self._value: Any = None
+        self._error: Optional[BaseException] = None
+        #: ``time.monotonic()`` at completion — what open-loop load
+        #: generation measures latency against (the caller may collect
+        #: results long after they landed)
+        self.completed_at: Optional[float] = None
+
+    def done(self) -> bool:
+        """Whether a result or error has landed."""
+        return self._event.is_set()
+
+    def set_result(self, value: Any) -> None:
+        """Complete the response with the request's output rows."""
+        self._value = value
+        self.completed_at = time.monotonic()
+        self._event.set()
+
+    def set_exception(self, error: BaseException) -> None:
+        """Complete the response with a failure."""
+        self._error = error
+        self.completed_at = time.monotonic()
+        self._event.set()
+
+    def result(self, timeout: Optional[float] = None) -> Any:
+        """The request's output rows; raises what the request failed with.
+
+        ``timeout`` (seconds) bounds the wait; running out raises
+        :class:`~repro.exceptions.RequestTimeoutError`.
+        """
+        if not self._event.wait(timeout):
+            raise RequestTimeoutError(
+                f"no response within {timeout:.3f}s wait"
+            )
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
+@dataclass
+class InferenceRequest:
+    """One queued inference request (internal to the serving machinery)."""
+
+    arrays: Dict[str, np.ndarray]
+    rows: int
+    submitted: float
+    deadline: Optional[float] = None
+    response: PendingResponse = field(default_factory=PendingResponse)
+
+    def expired(self, now: float) -> bool:
+        """Whether the request's deadline has passed."""
+        return self.deadline is not None and now >= self.deadline
+
+
 @dataclass
 class ModelEntry:
-    """One model under fleet management (internal to the router).
+    """One model under the router's management (internal to the router).
 
-    Holds the model's queue, batching geometry, fair-share state, and its
-    whole-model key in the shared spill manager.
+    Holds the model's queue, replicas, batching geometry, fill window,
+    fair-share state, and — when ``budgeted`` — its whole-model key in the
+    shared spill manager.
     """
 
     name: str
-    model: Optional[ShardableModel]
+    replicas: List[Any]
     weight: float
     max_batch_size: int
     compute_batch_size: int
     max_queue: int
+    #: fill window after the head request arrived; 0 = continuous batching
+    max_wait_seconds: float
+    #: bytes charged to the shared budget (0 for private replicas)
     nbytes: int
+    #: registered whole against the fleet budget: the one replica is shared
+    #: by every worker under a lease; otherwise each replica is private and
+    #: runs one batch at a time
+    budgeted: bool
     queue: List[InferenceRequest] = field(default_factory=list)
+    #: replicas free to take the next batch
+    idle: List[Any] = field(default_factory=list)
     #: stride-scheduling pass value — served rows / weight, monotone
     pass_value: float = 0.0
     #: consecutive times the scheduler deferred this model while evicted
     cold_skips: int = 0
-    #: process-backed entries: the ProcessReplica client executing forwards
-    #: in a child process (``model`` is None; never budget-registered — the
-    #: weights are page-cache-shared mmaps, not arena bytes)
-    client: Any = None
 
     @property
     def key(self) -> Tuple[str, int]:
         """The model's whole-model shard key in the shared spill manager."""
         return (self.name, 0)
 
+    def saturated(self) -> bool:
+        """Whether the collectable batch can no longer grow.
+
+        It cannot when the queued prefix already fills ``max_batch_size``
+        rows, or when the first uncollectable request would overflow the
+        batch (requests are never split, so waiting cannot add it).  Every
+        request fits a batch on its own, so either holds exactly when the
+        queue holds at least ``max_batch_size`` rows.
+        """
+        return sum(request.rows for request in self.queue) >= self.max_batch_size
+
 
 class RouterHandle:
-    """A single-model view of a router, API-compatible with a server.
+    """A single-model view of a router: what ``serve()`` returns.
 
     ``handle = router.handle("mlp-a")`` gives load generators and client
-    code the familiar ``submit``/``request`` surface without threading the
-    model name through every call.
+    code the ``submit``/``request``/``metrics`` surface without threading
+    the model name through every call.  Lifecycle calls (``start``/``stop``,
+    the context manager) act on the whole router — for a ``serve()``
+    deployment that router holds just this model.
     """
 
     def __init__(self, router: "FleetRouter", model: str):
@@ -157,6 +255,33 @@ class RouterHandle:
             window_seconds=window_seconds
         )
 
+    @property
+    def entry(self) -> ModelEntry:
+        """The router's entry for this model (its replicas, queue, geometry)."""
+        return self.router._entry(self.model)
+
+    @property
+    def queue_depth(self) -> int:
+        """Requests of this model currently waiting for a replica."""
+        return self.router.queue_depths[self.model]
+
+    def start(self) -> "RouterHandle":
+        """Start the router."""
+        self.router.start()
+        return self
+
+    def stop(self, drain: bool = True) -> None:
+        """Stop the router; with ``drain`` (default) queued requests finish."""
+        self.router.stop(drain=drain)
+
+    def __enter__(self) -> "RouterHandle":
+        """Start the router on scope entry."""
+        return self.start()
+
+    def __exit__(self, *exc_info: Any) -> None:
+        """Stop the router (draining queued requests) on scope exit."""
+        self.stop()
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RouterHandle({self.model!r} on {self.router.name!r})"
 
@@ -173,11 +298,13 @@ class FleetRouter:
             logits = router.request("mlp-a", {"features": x})
             report = router.metrics()
 
-    ``memory_budget`` (bytes) bounds the models' combined device residency;
-    ``None`` keeps every model resident.  ``max_batch_size`` / ``max_queue``
-    / ``timeout_ms`` are fleet-wide defaults that :meth:`add_model` can
-    override per model.  ``max_cold_skips`` bounds how often the scheduler
-    may defer an evicted model in favour of resident work.
+    ``memory_budget`` (bytes) bounds the fleet-budgeted models' combined
+    device residency; ``None`` keeps every model resident.  ``replicas`` is
+    the worker count.  ``max_batch_size`` / ``max_queue`` are fleet-wide
+    defaults that :meth:`add_model` can override per model; ``timeout_ms``
+    is the default per-request deadline.  ``max_cold_skips`` bounds how
+    often the scheduler may defer an evicted model in favour of resident
+    work.
 
     Raises:
         ConfigurationError: for invalid counts/budgets, unknown or duplicate
@@ -230,14 +357,14 @@ class FleetRouter:
         self.max_cold_skips = int(max_cold_skips)
         self.watchdog_interval_s = watchdog_interval_s
         self._budget = None if memory_budget is None else int(memory_budget)
-        self._telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._manager = SpillManager(
             [DeviceArena(_FLEET_ARENA, self._budget or _UNBOUNDED)],
             cache=HostShardCache(spill_dir=spill_dir),
             policy=eviction_policy,
             prefetcher=Prefetcher() if prefetch else None,
             scrub_evicted=scrub_evicted,
-            telemetry=self._telemetry,
+            telemetry=self.telemetry,
         )
         self.stats = ServerStats()
         self._entries: Dict[str, ModelEntry] = {}
@@ -264,23 +391,29 @@ class FleetRouter:
         max_batch_size: Optional[int] = None,
         compute_batch_size: Optional[int] = None,
         max_queue: Optional[int] = None,
+        max_wait_ms: float = 0.0,
     ) -> ModelEntry:
-        """Register one model with the fleet (before or while serving).
+        """Register one model with the router (before or while serving).
 
-        The model is put in ``eval`` mode and its whole parameter set is
-        registered against the shared budget.  ``weight`` scales its fair
-        share of the pool; ``max_batch_size``/``compute_batch_size``/
-        ``max_queue`` default to the router-wide settings.  The compute
-        geometry must match any dedicated server the model's responses are
-        compared against — exactness is per-geometry.
+        ``model`` is one of:
 
-        ``model`` may also be a :class:`~repro.api.runtime.proc.ModelSpec`:
-        the entry is then served by a :class:`~repro.api.runtime.proc.
-        ProcessReplica` — forwards run in a dedicated child process that
-        mmaps the spec's registry weights read-only.  Process entries are
-        never charged to the fleet budget (their bytes live in the shared
-        page cache, not the serving arena) and are always "hot" to the
-        scheduler.
+        * a :class:`~repro.models.base.ShardableModel` — put in ``eval``
+          mode and registered *whole* against the shared budget; its one
+          resident replica runs on every worker at once;
+        * a :class:`~repro.api.runtime.proc.ModelSpec` — served by one
+          :class:`~repro.api.runtime.proc.ProcessReplica` that mmaps the
+          spec's registry weights read-only in a child process (never
+          charged to the budget: its bytes live in the shared page cache);
+        * a list of replicas (:class:`~repro.serving.replica.Replica` or
+          ``ProcessReplica``) — private copies, each running one batch at a
+          time; the router closes them on :meth:`stop`.
+
+        ``weight`` scales the model's fair share of the pool;
+        ``max_batch_size``/``compute_batch_size``/``max_queue`` default to
+        the router-wide settings.  The compute geometry must match any
+        dedicated deployment the model's responses are compared against —
+        exactness is per-geometry.  ``max_wait_ms`` is the model's fill
+        window (0 = continuous batching; see the module docstring).
         """
         if self._stopped:
             raise ServingError(
@@ -288,6 +421,8 @@ class FleetRouter:
             )
         if weight <= 0:
             raise ConfigurationError(f"weight must be positive, got {weight}")
+        if max_wait_ms < 0:
+            raise ConfigurationError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         batch = int(max_batch_size) if max_batch_size is not None else self.max_batch_size
         compute = int(compute_batch_size) if compute_batch_size is not None else batch
         queue_limit = int(max_queue) if max_queue is not None else self.max_queue
@@ -303,15 +438,19 @@ class FleetRouter:
         # facade, which imports this package (same cycle start() breaks).
         from repro.api.runtime.proc import ModelSpec, ProcessReplica
 
-        client = None
+        budgeted = False
+        nbytes = 0
         if isinstance(model, ModelSpec):
             # Child spawns lazily; it inherits the router's telemetry flag so
             # its forward spans flow back through the reply channel.
-            client = ProcessReplica(model, name=name, telemetry=self._telemetry)
-            model = None
-            nbytes = 0
+            replicas = [ProcessReplica(model, name=name, telemetry=self.telemetry)]
+        elif isinstance(model, (list, tuple)):
+            if not model:
+                raise ConfigurationError(f"model {name!r} needs at least one replica")
+            replicas = list(model)
         else:
-            model.eval()
+            replicas = [Replica.resident(model, name=name)]
+            budgeted = True
             nbytes = sum(p.data.nbytes for p in model.parameters())
             if self._budget is not None and nbytes > self._budget:
                 raise ConfigurationError(
@@ -320,18 +459,21 @@ class FleetRouter:
                 )
         entry = ModelEntry(
             name=name,
-            model=model,
+            replicas=replicas,
             weight=float(weight),
             max_batch_size=batch,
             compute_batch_size=compute,
             max_queue=queue_limit,
+            max_wait_seconds=float(max_wait_ms) / 1e3,
             nbytes=nbytes,
-            client=client,
+            budgeted=budgeted,
+            idle=list(replicas),
         )
         with self._cond:
             if name in self._entries:
-                if client is not None:
-                    client.close()
+                if not budgeted:
+                    for replica in replicas:
+                        replica.close()
                 raise ConfigurationError(
                     f"model {name!r} is already registered with router {self.name!r}"
                 )
@@ -339,7 +481,7 @@ class FleetRouter:
             # A newly added model starts at the scheduler's virtual time so
             # it cannot claim the pool retroactively for epochs it sat out.
             entry.pass_value = self._virtual_time
-        if client is None:
+        if budgeted:
             self._manager.register(
                 entry.key,
                 _FLEET_ARENA,
@@ -356,7 +498,7 @@ class FleetRouter:
             return sorted(self._entries)
 
     def handle(self, model: str) -> RouterHandle:
-        """A server-shaped view of one model (for load generators, clients)."""
+        """A single-model view of one model (for load generators, clients)."""
         self._entry(model)
         return RouterHandle(self, model)
 
@@ -376,11 +518,11 @@ class FleetRouter:
                 f"router {self.name!r} was stopped; build a new router"
             )
         # Imported lazily: repro.api initialisation imports the serving
-        # facade, which imports this package (same cycle ModelServer breaks).
+        # facade, which imports this package.
         from repro.api.runtime.pool import ThreadWorkerPool
 
-        if self._telemetry.enabled:
-            self._telemetry.register_collector(f"router.{self.name}", self.metrics)
+        if self.telemetry.enabled:
+            self.telemetry.register_collector(f"router.{self.name}", self.metrics)
         self._pool = ThreadWorkerPool(self.replicas)
         self._running = True
         self._loops = [
@@ -406,16 +548,15 @@ class FleetRouter:
         """
         if not self._running:
             return
+        cancelled: List[InferenceRequest] = []
         with self._cond:
             self._closed = True
             if not drain:
-                cancelled = [
-                    request for entry in self._entries.values() for request in entry.queue
-                ]
                 for entry in self._entries.values():
-                    entry.queue = []
-            else:
-                cancelled = []
+                    if entry.queue:
+                        self.stats.count(entry.name, failed=len(entry.queue))
+                        cancelled.extend(entry.queue)
+                        entry.queue = []
             self._cond.notify_all()
         for request in cancelled:
             request.response.set_exception(ServingError("router stopped"))
@@ -434,9 +575,9 @@ class FleetRouter:
                 self._pool.shutdown()
                 self._pool = None
             for name, entry in list(self._entries.items()):
-                if entry.client is not None:
-                    entry.client.close()
-                else:
+                for replica in entry.replicas:
+                    replica.close()
+                if entry.budgeted:
                     self._manager.forget_model(name)
             self._manager.close()
 
@@ -487,8 +628,8 @@ class FleetRouter:
             submitted=now,
             deadline=None if limit is None else now + float(limit) / 1e3,
         )
-        if self._telemetry.enabled:
-            self._telemetry.event(
+        if self.telemetry.enabled:
+            self.telemetry.event(
                 "request.submit", cat="serving",
                 router=self.name, model=model, rows=rows,
             )
@@ -506,12 +647,17 @@ class FleetRouter:
                 # an idle spell does not convert into a burst entitlement.
                 entry.pass_value = max(entry.pass_value, self._virtual_time)
             entry.queue.append(request)
-            self._cond.notify_all()
+            # A windowed model's queue only becomes dispatchable when it gets
+            # a head (a new fill deadline) or saturates; any other arrival
+            # leaves the workers' wake-up time unchanged.
+            windowed = entry.max_wait_seconds and len(entry.queue) > 1
+            if not windowed or entry.saturated():
+                self._cond.notify_all()
         # Outside the router lock: the manager has its own locking, and a
         # restore started now overlaps whatever the workers are computing.
-        # Process-backed entries have no residency to manage.
+        # Private replicas have no shared residency to manage.
         if (
-            entry.client is None
+            entry.budgeted
             and self._manager.residency(entry.key) is ResidencyState.EVICTED
         ):
             self._manager.prefetch(entry.key)
@@ -574,15 +720,17 @@ class FleetRouter:
     # Scheduler internals
     # ------------------------------------------------------------------ #
     def _entry(self, model: str) -> ModelEntry:
-        with self._cond:
-            if model not in self._entries:
-                raise ConfigurationError(
-                    f"router {self.name!r} has no model {model!r}; "
-                    f"registered: {sorted(self._entries) or 'none'}"
-                )
-            return self._entries[model]
+        # No lock: a dict lookup is atomic, and entries are never removed.
+        entry = self._entries.get(model)
+        if entry is None:
+            raise ConfigurationError(
+                f"router {self.name!r} has no model {model!r}; "
+                f"registered: {sorted(self._entries) or 'none'}"
+            )
+        return entry
 
-    def _expire_locked(self) -> None:
+    def _expire_locked(self) -> float:
+        """Fail every overdue queued request; returns the time it checked at."""
         now = time.monotonic()
         for entry in self._entries.values():
             overdue = [request for request in entry.queue if request.expired(now)]
@@ -599,6 +747,7 @@ class FleetRouter:
                     )
                 )
             self.stats.count(entry.name, timed_out=len(overdue))
+        return now
 
     def _poll_interval_locked(self) -> float:
         """Wait granularity: wake early enough to expire the nearest deadline."""
@@ -622,45 +771,60 @@ class FleetRouter:
         self._cond.notify_all()
         return taken, rows
 
+    def _hot(self, entry: ModelEntry) -> bool:
+        """Whether a batch of ``entry`` can run without waiting on a restore."""
+        return (
+            not entry.budgeted
+            or self._manager.residency(entry.key) is ResidencyState.RESIDENT
+        )
+
     def _next_assignment(
-        self,
-    ) -> Optional[Tuple[ModelEntry, List[InferenceRequest], int, Dict[str, int]]]:
+        self, released: Optional[Tuple[ModelEntry, Any]] = None
+    ) -> Optional[Tuple[ModelEntry, Any, List[InferenceRequest], int, Dict[str, int]]]:
         """Block until a micro-batch is ready; ``None`` once closed and drained.
 
-        Continuous batching: as soon as any queue is non-empty the batch is
-        formed from what is there — no fill window.  Selection is stride
-        (weighted-fair) with the bounded hot-model preference described in
-        the module docstring.
+        ``released`` is the worker's previous private ``(entry, replica)``,
+        returned to the entry's idle replicas under the same lock.  A model
+        is ready when it has queued work, an idle replica, and — with a fill
+        window — a saturated batch or a head request that has waited out the
+        window.  Selection among ready models is stride (weighted-fair) with
+        the bounded hot-model preference described in the module docstring.
         """
         with self._cond:
+            if released is not None:
+                released[0].idle.append(released[1])
+                self._cond.notify_all()
             while True:
-                self._expire_locked()
-                ready = [entry for entry in self._entries.values() if entry.queue]
+                now = self._expire_locked()
+                ready = []
+                fill_due = None
+                for entry in self._entries.values():
+                    if not entry.queue or not entry.idle:
+                        continue
+                    if entry.max_wait_seconds and not self._closed:
+                        # Anchored to the head request: a request that
+                        # already waited for a replica is not re-delayed.
+                        due = entry.queue[0].submitted + entry.max_wait_seconds
+                        if now < due and not entry.saturated():
+                            fill_due = due if fill_due is None else min(fill_due, due)
+                            continue
+                    ready.append(entry)
                 if not ready:
-                    if self._closed:
+                    if self._closed and not any(
+                        entry.queue for entry in self._entries.values()
+                    ):
                         return None
-                    self._cond.wait(timeout=self._poll_interval_locked())
+                    wait = self._poll_interval_locked()
+                    if fill_due is not None:
+                        wait = min(wait, fill_due - now)
+                    self._cond.wait(timeout=wait)
                     continue
                 chosen = min(ready, key=lambda e: (e.pass_value, e.name))
-                if (
-                    chosen.client is None
-                    and chosen.cold_skips < self.max_cold_skips
-                    and self._manager.residency(chosen.key)
-                    is not ResidencyState.RESIDENT
-                ):
+                if chosen.cold_skips < self.max_cold_skips and not self._hot(chosen):
                     # Cold (evicted or mid-restore): a worker that took this
                     # batch would block in acquire — possibly on an eviction
                     # that needs the *other* workers to unpin first.
-                    hot = [
-                        entry
-                        for entry in ready
-                        if entry is not chosen
-                        and (
-                            entry.client is not None
-                            or self._manager.residency(entry.key)
-                            is ResidencyState.RESIDENT
-                        )
-                    ]
+                    hot = [e for e in ready if e is not chosen and self._hot(e)]
                     if hot:
                         # Defer the cold pick (bounded), start its restore,
                         # and run resident work meanwhile.
@@ -669,22 +833,27 @@ class FleetRouter:
                         chosen = min(hot, key=lambda e: (e.pass_value, e.name))
                 chosen.cold_skips = 0
                 self._virtual_time = chosen.pass_value
+                # A shared (budgeted) replica stays idle: every worker may
+                # run it at once.  A private one is checked out.
+                replica = chosen.idle[0] if chosen.budgeted else chosen.idle.pop()
                 batch, rows = self._take_locked(chosen)
                 chosen.pass_value += rows / chosen.weight
                 self._batches_dispatched += 1
                 depths = {
                     name: len(entry.queue) for name, entry in self._entries.items()
                 }
-                return chosen, batch, rows, depths
+                return chosen, replica, batch, rows, depths
 
     def _serve_loop(self) -> None:
-        """One worker's life: pick a (model, batch), lease, infer, complete."""
-        tel = self._telemetry
+        """One worker's life: pick a (model, replica, batch), infer, complete."""
+        tel = self.telemetry
+        released = None
         while True:
-            assignment = self._next_assignment()
+            assignment = self._next_assignment(released)
             if assignment is None:
                 return
-            entry, batch, rows, depths = assignment
+            entry, replica, batch, rows, depths = assignment
+            released = None if entry.budgeted else (entry, replica)
             with log_context(router=self.name, model=entry.name):
                 if tel.enabled:
                     with tel.span(
@@ -692,57 +861,33 @@ class FleetRouter:
                         router=self.name, model=entry.name,
                         rows=rows, requests=len(batch),
                     ):
-                        self._serve_batch(entry, batch, rows, depths, tel)
+                        self._serve_batch(entry, replica, batch, rows, depths, tel)
                 else:
-                    self._serve_batch(entry, batch, rows, depths, tel)
+                    self._serve_batch(entry, replica, batch, rows, depths, tel)
 
-    def _serve_batch(self, entry, batch, rows, depths, tel) -> None:
+    def _serve_batch(self, entry, replica, batch, rows, depths, tel) -> None:
         """Run one assigned micro-batch and complete its responses."""
         started = time.monotonic()
         try:
+            # The concat belongs inside the try: requests with mismatched
+            # field sets must fail *their batch*, not kill the worker loop.
             arrays = concat_rows([request.arrays for request in batch])
-            if entry.client is not None:
-                # Process-backed entry: the child pads to the compute
-                # geometry, forwards, and slices — same exactness
-                # contract, different process.
+            # A budgeted model's lease pins it resident (restoring it from
+            # the host cache if it was evicted) for exactly this forward.
+            lease = (
+                self._manager.lease(entry.key)
+                if entry.budgeted
+                else contextlib.nullcontext()
+            )
+            with lease:
                 if tel.enabled:
-                    with tel.span("serve.forward", cat="serving", model=entry.name):
-                        output = entry.client.infer(
-                            arrays, pad_to=entry.compute_batch_size
-                        )
+                    with tel.span(
+                        "serve.forward", cat="serving",
+                        model=entry.name, replica=replica.name,
+                    ):
+                        output = replica.infer(arrays, pad_to=entry.compute_batch_size)
                 else:
-                    output = entry.client.infer(
-                        arrays, pad_to=entry.compute_batch_size
-                    )
-            else:
-                padded = pad_rows(arrays, rows, entry.compute_batch_size)
-                # The lease pins the whole model resident (restoring it
-                # from the host cache if it was evicted) for exactly
-                # this forward.
-                with self._manager.lease(entry.key):
-                    if tel.enabled:
-                        with tel.span(
-                            "serve.forward", cat="serving", model=entry.name
-                        ):
-                            with no_grad():
-                                output = entry.model.forward(
-                                    Batch(
-                                        arrays={
-                                            k: np.asarray(v)
-                                            for k, v in padded.items()
-                                        }
-                                    )
-                                )
-                    else:
-                        with no_grad():
-                            output = entry.model.forward(
-                                Batch(
-                                    arrays={
-                                        k: np.asarray(v) for k, v in padded.items()
-                                    }
-                                )
-                            )
-                output = slice_rows(output, 0, rows)
+                    output = replica.infer(arrays, pad_to=entry.compute_batch_size)
         except BaseException as error:  # noqa: BLE001 - mirrored to clients
             # Typed serving errors (ReplicaCrashedError from a killed
             # child, ...) pass through so clients can react specifically.
@@ -758,14 +903,17 @@ class FleetRouter:
             self.stats.count(entry.name, failed=len(batch))
             return
         finished = time.monotonic()
+        # Counted before any response lands, so a client that reads the
+        # metrics right after its result sees its own request.
+        latencies = [finished - request.submitted for request in batch]
+        self.stats.record(entry.name, *latencies)
+        self.stats.record_batch(entry.name, rows, depths)
         offset = 0
         for request in batch:
             request.response.set_result(
                 slice_rows(output, offset, offset + request.rows)
             )
             offset += request.rows
-            self.stats.record(entry.name, finished - request.submitted)
-        self.stats.record_batch(entry.name, rows, queue_depth=sum(depths.values()))
         logger.debug(
             "router=%s batch model=%s rows=%d/%d requests=%d infer_ms=%.2f queues=%s",
             self.name,
@@ -794,8 +942,8 @@ class FleetRouter:
             if queued and progressed == 0:
                 with self._cond:
                     self._stalls += 1
-                if self._telemetry.enabled:
-                    self._telemetry.event(
+                if self.telemetry.enabled:
+                    self.telemetry.event(
                         "router.stall", cat="serving",
                         router=self.name, queued=queued,
                     )

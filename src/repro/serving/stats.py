@@ -3,15 +3,14 @@
 One :class:`LatencyStats` instance accumulates per-request latencies (and
 the counters around them) behind a lock, so replica threads, the admission
 path, and metric readers never race.  Percentiles are computed on demand
-from the raw samples.  By default every sample is kept — serving runs here
-are thousands of requests, not millions, and exact p99 beats a sketch at
-that scale.  For long-lived servers, ``max_samples`` caps memory with
-reservoir sampling (Vitter's Algorithm R, deterministic seed): below the
-cap behaviour is bit-identical to the unbounded default; above it, each
-sample survives with probability ``max_samples / n`` so percentiles stay
-an unbiased estimate of the full history while the counters remain exact.
+from the raw samples, at most ``max_samples`` of them (default
+:data:`MAX_SAMPLES`), so a long-lived router's memory stays bounded: below
+the cap every sample is kept and percentiles are exact; above it, reservoir
+sampling (Vitter's Algorithm R, deterministic seed) keeps each sample with
+probability ``max_samples / n``, so percentiles stay an unbiased estimate
+of the full history while the counters remain exact.
 
-:class:`ServerStats` is the fleet-level aggregation the
+:class:`ServerStats` is the two-level aggregation the
 :class:`~repro.serving.router.FleetRouter` reports through: one fleet-wide
 :class:`LatencyStats` plus one per model, fed together so a single request
 lands in both its model's distribution and the fleet's.
@@ -28,6 +27,8 @@ import numpy as np
 
 #: the latency percentiles every report carries, in order
 PERCENTILES = (50.0, 95.0, 99.0)
+#: latency samples one collector keeps (exact percentiles up to this many)
+MAX_SAMPLES = 10_000
 
 
 def latency_summary(latencies_seconds: List[float]) -> Dict[str, float]:
@@ -62,9 +63,9 @@ class LatencyStats:
     that never produced a response.  ``snapshot`` freezes the counters and
     percentiles into a plain dict for reports and benchmarks.
 
-    ``max_samples=None`` (default) keeps every latency sample; a positive
-    cap switches to reservoir sampling so a long-lived server's footprint
-    stays bounded while ``completed``/``throughput_rps`` stay exact.
+    At most ``max_samples`` latency samples are kept (reservoir sampling
+    past the cap), so the footprint stays bounded while
+    ``completed``/``throughput_rps`` stay exact.
 
     Example::
 
@@ -73,8 +74,8 @@ class LatencyStats:
         assert stats.snapshot()["completed"] == 1
     """
 
-    def __init__(self, max_samples: Optional[int] = None) -> None:
-        if max_samples is not None and max_samples <= 0:
+    def __init__(self, max_samples: int = MAX_SAMPLES) -> None:
+        if max_samples <= 0:
             raise ValueError(f"max_samples must be positive, got {max_samples}")
         self._lock = threading.Lock()
         self._latencies: List[float] = []
@@ -94,18 +95,19 @@ class LatencyStats:
         self._started = time.monotonic()
 
     # ------------------------------------------------------------------ #
-    def record(self, latency_seconds: float) -> None:
-        """Record one completed request's end-to-end latency."""
+    def record(self, *latencies_seconds: float) -> None:
+        """Record completed requests' end-to-end latencies (one per request)."""
         with self._lock:
-            self._completed += 1
-            if self._max_samples is None or len(self._latencies) < self._max_samples:
-                self._latencies.append(float(latency_seconds))
-            else:
-                # Algorithm R: the n-th sample replaces a reservoir slot
-                # with probability max_samples / n.
-                slot = self._rng.randrange(self._completed)
-                if slot < self._max_samples:
-                    self._latencies[slot] = float(latency_seconds)
+            for latency in latencies_seconds:
+                self._completed += 1
+                if len(self._latencies) < self._max_samples:
+                    self._latencies.append(float(latency))
+                else:
+                    # Algorithm R: the n-th sample replaces a reservoir slot
+                    # with probability max_samples / n.
+                    slot = self._rng.randrange(self._completed)
+                    if slot < self._max_samples:
+                        self._latencies[slot] = float(latency)
 
     def count(self, *, rejected: int = 0, timed_out: int = 0, failed: int = 0) -> None:
         """Bump the failure counters (requests that produced no response)."""
@@ -199,10 +201,11 @@ class ServerStats:
 
     def for_model(self, model: str) -> LatencyStats:
         """The named model's collector (created on first use)."""
-        with self._lock:
-            if model not in self._models:
-                self._models[model] = LatencyStats()
-            return self._models[model]
+        stats = self._models.get(model)
+        if stats is None:
+            with self._lock:
+                stats = self._models.setdefault(model, LatencyStats())
+        return stats
 
     def model_names(self) -> List[str]:
         """Models with a collector, sorted."""
@@ -210,10 +213,10 @@ class ServerStats:
             return sorted(self._models)
 
     # ------------------------------------------------------------------ #
-    def record(self, model: str, latency_seconds: float) -> None:
-        """Record one completed request against its model and the fleet."""
-        self.for_model(model).record(latency_seconds)
-        self.fleet.record(latency_seconds)
+    def record(self, model: str, *latencies_seconds: float) -> None:
+        """Record completed requests against their model and the fleet."""
+        self.for_model(model).record(*latencies_seconds)
+        self.fleet.record(*latencies_seconds)
 
     def count(
         self, model: str, *, rejected: int = 0, timed_out: int = 0, failed: int = 0
@@ -224,17 +227,15 @@ class ServerStats:
         )
         self.fleet.count(rejected=rejected, timed_out=timed_out, failed=failed)
 
-    def record_batch(
-        self, model: str, rows: int, queue_depth: Optional[int] = None
-    ) -> None:
+    def record_batch(self, model: str, rows: int, queue_depths: Dict[str, int]) -> None:
         """Record one dispatched micro-batch (scheduler metrics included).
 
-        ``queue_depth`` is the *fleet-wide* number of requests still queued
-        at dispatch; it is recorded on the fleet collector only, since a
-        per-model depth at fleet-batch granularity would double count.
+        ``queue_depths`` maps every model to its requests still queued at
+        dispatch: the model's collector records its own depth, the fleet
+        collector the fleet-wide sum.
         """
-        self.for_model(model).record_batch(rows)
-        self.fleet.record_batch(rows, queue_depth=queue_depth)
+        self.for_model(model).record_batch(rows, queue_depth=queue_depths.get(model, 0))
+        self.fleet.record_batch(rows, queue_depth=sum(queue_depths.values()))
 
     # ------------------------------------------------------------------ #
     def snapshot(self, window_seconds: Optional[float] = None) -> Dict[str, Dict]:

@@ -4,8 +4,9 @@ Every metrics surface in the stack reports through one of three documented
 shapes, so dashboards and the future autoscaler can consume any of them
 without per-component parsing:
 
-**Latency snapshot** (``ModelServer.metrics()``,
-``LatencyStats.snapshot()``, each per-model row of the router report) —
+**Latency snapshot** (``RouterHandle.metrics()`` — what a ``serve()``
+deployment reports —, ``LatencyStats.snapshot()``, and the fleet and
+per-model rows of the router report) —
 a flat ``str -> float`` dict with exactly :data:`LATENCY_SNAPSHOT_KEYS`:
 the counters in :data:`MONOTONIC_COUNTERS` never decrease between
 snapshots of the same collector.

@@ -1,5 +1,7 @@
 """Tests for the Tensor class and the autograd graph machinery."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,29 @@ class TestDetachAndNoGrad:
         with pytest.raises(RuntimeError):
             with no_grad():
                 raise RuntimeError("boom")
+        assert is_grad_enabled()
+
+    def test_no_grad_is_per_thread(self):
+        # Overlapping scopes on two threads, exited in the "wrong" order: the
+        # second thread's exit must not leave the first thread's mode off.
+        entered, release = threading.Event(), threading.Event()
+        seen = {}
+
+        def other():
+            with no_grad():
+                entered.set()
+                release.wait(timeout=10.0)
+                seen["other"] = is_grad_enabled()
+
+        thread = threading.Thread(target=other)
+        thread.start()
+        assert entered.wait(timeout=10.0)
+        assert is_grad_enabled()  # the other thread's scope does not leak here
+        with no_grad():
+            release.set()
+            thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert seen == {"other": False}
         assert is_grad_enabled()
 
     def test_copy_is_independent(self):

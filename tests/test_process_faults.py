@@ -17,7 +17,7 @@ contracts under test:
   every published archive loads cleanly and no staging litter remains;
 * a serving replica child SIGKILLed with a request in flight fails only
   that request, with :class:`~repro.exceptions.ReplicaCrashedError`, and
-  respawns on the next one — standalone and behind a ``ModelServer``.
+  respawns on the next one — standalone and behind ``serve()``.
 
 Every kill helper is a module-level class instance (pickles into spawn
 children) and self-terminates via ``os.kill(os.getpid(), SIGKILL)`` gated
@@ -290,7 +290,7 @@ class TestProcessReplicaFaults:
             name="fault-server",
         )
         try:
-            replica = server.replicas[0]
+            replica = server.entry.replicas[0]
             replica.start()
             pid = replica.pid
             future = server.submit(self._arrays())

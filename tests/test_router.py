@@ -5,20 +5,24 @@ The contracts under test, in order of importance:
 * **fleet == dedicated** — a model served through a shared
   :class:`~repro.serving.FleetRouter` (one pool, one budget, other models
   competing, evictions in flight) answers ``array_equal`` to a dedicated
-  single-model :class:`~repro.serving.ModelServer` at the same compute
-  geometry — whether the model was resident or evicted when asked;
+  single-model deployment at the same compute geometry — whether the
+  model was resident or evicted when asked;
 * **cold models serve** — a budget smaller than any two models forces every
   switch to evict/restore, and responses stay bit-exact through the churn;
 * **weighted-fair, never starved** — under a skewed mix the minority
   model's requests complete interleaved with the majority's, not after;
 * **admission is per model** — one model's full queue rejects that model's
   traffic only;
+* **every admitted request is accounted for** — completed, timed out or
+  failed, including those a non-draining stop cancels;
 * **API wiring** — ``serve_fleet`` and ``SelectionResult.deploy(router=)``
   land models in a shared fleet.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
 import time
 
 import numpy as np
@@ -30,14 +34,9 @@ from repro.exceptions import (
     ServerOverloadedError,
     ServingError,
 )
+from repro.api import serve
 from repro.models import FeedForwardConfig, FeedForwardNetwork
-from repro.serving import (
-    FleetRouter,
-    LoadGenerator,
-    ModelRegistry,
-    ModelServer,
-    Replica,
-)
+from repro.serving import FleetRouter, LoadGenerator, ModelRegistry, Replica
 from repro.serving.loadgen import mix_schedule
 
 CONFIG = FeedForwardConfig(input_dim=16, hidden_dims=(24, 16), num_classes=4)
@@ -172,6 +171,66 @@ class TestFleetExactness:
         assert failures == [None] * len(names)
 
 
+class _ExclusiveReplica:
+    """A private replica that records any overlapping ``infer`` calls."""
+
+    def __init__(self, seed: int, name: str):
+        self.inner = Replica.resident(make_model(seed=seed), name=name)
+        self.name = name
+        self.batches = 0
+        self.overlaps = 0
+        self._active = 0
+        self._lock = threading.Lock()
+
+    def infer(self, arrays, pad_to=None):
+        with self._lock:
+            self._active += 1
+            self.batches += 1
+            if self._active > 1:
+                self.overlaps += 1
+        try:
+            time.sleep(0.0005)  # widen the window an overlap would need
+            return self.inner.infer(arrays, pad_to=pad_to)
+        finally:
+            with self._lock:
+                self._active -= 1
+
+    def close(self):
+        self.inner.close()
+
+
+class TestPrivateReplicas:
+    def test_each_private_replica_runs_one_batch_at_a_time(self, requests_32):
+        """More workers than replicas and cores, a short switch interval:
+        no replica ever runs two batches at once, and every answer is exact."""
+        replicas = [_ExclusiveReplica(20, f"m/replica{index}") for index in range(3)]
+        router = FleetRouter(replicas=6, max_batch_size=4, watchdog_interval_s=None)
+        router.add_model("m", replicas)
+        references = dedicated_reference(20, requests_32)
+        from repro.api.runtime.pool import ThreadWorkerPool
+
+        def client(offset):
+            for index in range(offset, len(requests_32), 4):
+                got = router.submit("m", {"features": requests_32[index]})
+                if not np.array_equal(got.result(timeout=10.0), references[index]):
+                    return f"request {index} diverged"
+            return None
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with router, ThreadWorkerPool(8) as pool:
+                futures = [pool.submit(client, offset % 4) for offset in range(8)]
+                failures = [future.result(timeout=60.0) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == [None] * 8
+        assert [replica.overlaps for replica in replicas] == [0, 0, 0]
+        report = router.metrics()["models"]["m"]
+        assert report["completed"] == 2 * len(requests_32)
+        assert sum(replica.batches for replica in replicas) == report["batches"]
+
+
 # --------------------------------------------------------------------------- #
 # Eviction/restore churn under a minimal budget
 # --------------------------------------------------------------------------- #
@@ -295,7 +354,10 @@ class TestAdmission:
         x = np.zeros((1, 16), dtype=np.float32)
         with router:
             # Fill busy's queue past capacity: 1 in flight + 2 queued.
-            pending = [router.submit("busy", {"features": x}) for _ in range(3)]
+            pending = [router.submit("busy", {"features": x})]
+            while router.queue_depths["busy"]:  # until the first is in flight
+                time.sleep(0.005)
+            pending += [router.submit("busy", {"features": x}) for _ in range(2)]
             with pytest.raises(ServerOverloadedError, match="busy"):
                 for _ in range(4):
                     pending.append(router.submit("busy", {"features": x}))
@@ -382,6 +444,27 @@ class TestRouterLifecycle:
             router.add_model("m", make_model(), weight=0.0)
         with pytest.raises(ConfigurationError):
             router.add_model("m", make_model(), compute_batch_size=2, max_batch_size=4)
+
+    def test_stop_without_drain_counts_cancellations(self):
+        """Cancelled requests are failures: the counters cover every
+        admitted request."""
+        router = FleetRouter(replicas=1, max_batch_size=1, watchdog_interval_s=None)
+        router.add_model("slow", _SleepyModel(0.3))
+        x = np.zeros((1, 16), dtype=np.float32)
+        router.start()
+        pending = [router.submit("slow", {"features": x}) for _ in range(3)]
+        while router.queue_depths["slow"] == 3:  # until one is in flight
+            time.sleep(0.005)
+        router.stop(drain=False)
+        with pytest.raises(ServingError, match="router stopped"):
+            pending[-1].result(timeout=1.0)
+        report = router.metrics()
+        for snapshot in (report["models"]["slow"], report["fleet"]):
+            assert snapshot["failed"] == 2
+            outcomes = sum(
+                snapshot[key] for key in ("completed", "rejected", "timed_out", "failed")
+            )
+            assert outcomes == len(pending)
 
     def test_watchdog_counts_stalls(self):
         """A long forward with queued work behind it trips the watchdog."""
@@ -597,6 +680,6 @@ class TestFleetLoadGeneration:
         router.add_model("m", make_model())
         with pytest.raises(ConfigurationError, match="needs a mix"):
             LoadGenerator(router, lambda c, i: {})
-        server = ModelServer([Replica.resident(make_model())])
+        server = serve(make_model(), start=False)
         with pytest.raises(ConfigurationError, match="FleetRouter target"):
             LoadGenerator(server, lambda c, i: {}, mix={"m": 1.0})

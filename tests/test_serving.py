@@ -8,9 +8,12 @@ The contracts under test, in order of importance:
   answers bit-identically to a fully resident one;
 * **registry round-trip** — published parameters load back bit-exactly,
   versions are immutable and monotonically assigned;
+* **fill window** — a windowed model entry coalesces whole requests in
+  FIFO order, anchors its window to the head request, dispatches a
+  saturated batch at once, and never delays another model's dispatch;
 * **faults are values** — a full queue rejects at admission, an expired
   request times out without running inference, a replica failure reaches
-  the caller as a ``ServingError``; the server survives all three.
+  the caller as a ``ServingError``; the deployment survives all three.
 """
 
 from __future__ import annotations
@@ -29,15 +32,8 @@ from repro.exceptions import (
     ServingError,
 )
 from repro.models import FeedForwardConfig, FeedForwardNetwork
-from repro.serving import (
-    DynamicBatcher,
-    InferenceRequest,
-    LoadGenerator,
-    ModelRegistry,
-    ModelServer,
-    Replica,
-    warm_up,
-)
+from repro.api import serve
+from repro.serving import FleetRouter, LoadGenerator, ModelRegistry, Replica, warm_up
 
 CONFIG = FeedForwardConfig(input_dim=16, hidden_dims=(24, 16), num_classes=4)
 GEOMETRY = 8  # compute geometry shared by every exactness comparison
@@ -82,11 +78,12 @@ class TestExactness:
     def test_batched_equals_unbatched_single_request_forwards(
         self, requests_48, reference_outputs
     ):
-        server = ModelServer(
-            [Replica.resident(make_model())],
+        server = serve(
+            make_model(),
             max_batch_size=GEOMETRY,
             max_wait_ms=5.0,
             max_queue=64,
+            start=False,
         )
         with server:
             handles = [server.submit(x) for x in requests_48]
@@ -104,8 +101,8 @@ class TestExactness:
         whole = np.concatenate(requests_48[:6], axis=0)  # one 6-row request
         replica = Replica.resident(make_model())
         expected = replica.infer({"features": whole}, pad_to=GEOMETRY)
-        server = ModelServer(
-            [Replica.resident(make_model())], max_batch_size=GEOMETRY, max_wait_ms=1.0
+        server = serve(
+            make_model(), max_batch_size=GEOMETRY, max_wait_ms=1.0, start=False
         )
         with server:
             response = server.request({"features": whole})
@@ -133,7 +130,9 @@ class TestExactness:
 
     def test_spilled_server_equals_resident_server(self, requests_48, reference_outputs):
         model = make_model()
-        server = ModelServer(
+        router = FleetRouter(replicas=1, watchdog_interval_s=None)
+        router.add_model(
+            "spilled-served",
             [
                 Replica.spilled(
                     model,
@@ -145,7 +144,7 @@ class TestExactness:
             max_batch_size=GEOMETRY,
             max_wait_ms=2.0,
         )
-        with server:
+        with router.handle("spilled-served") as server:
             handles = [server.submit(x) for x in requests_48[:24]]
             responses = [handle.result(timeout=10.0) for handle in handles]
         for response, expected in zip(responses, reference_outputs):
@@ -154,8 +153,6 @@ class TestExactness:
         assert all(np.isfinite(p.data).all() for p in model.parameters())
 
     def test_replica_pool_with_factory_stays_exact(self, requests_48, reference_outputs):
-        from repro.api import serve
-
         server = serve(
             lambda: make_model(),
             replicas=2,
@@ -176,11 +173,12 @@ class TestExactness:
         # An unbatched server (max_batch_size=1) at the shared geometry
         # answers bit-identically to the batched one — the property the
         # E13 benchmark's throughput comparison rests on.
-        server = ModelServer(
-            [Replica.resident(make_model())],
+        server = serve(
+            make_model(),
             max_batch_size=1,
             compute_batch_size=GEOMETRY,
             max_wait_ms=0.0,
+            start=False,
         )
         with server:
             responses = [server.request(x) for x in requests_48[:12]]
@@ -370,124 +368,152 @@ def _build_multi_output():
 
 
 # --------------------------------------------------------------------------- #
-# Batcher semantics
+# Fill-window semantics of a router entry
 # --------------------------------------------------------------------------- #
-class TestDynamicBatcher:
-    @staticmethod
-    def _request(rows=1, deadline=None):
-        return InferenceRequest(
-            arrays={"features": np.zeros((rows, 4), np.float32)},
-            rows=rows,
-            submitted=time.monotonic(),
-            deadline=deadline,
-        )
+def _windowed(max_batch_size, max_wait_ms, model=None):
+    """A running one-model router whose entry batches under a fill window."""
+    return serve(
+        model if model is not None else make_model(),
+        max_batch_size=max_batch_size,
+        max_wait_ms=max_wait_ms,
+        max_queue=16,
+    )
 
+
+def _rows(count):
+    return np.zeros((count, 16), np.float32)
+
+
+class TestFillWindow:
     def test_coalesces_whole_requests_in_fifo_order(self):
-        batcher = DynamicBatcher(max_batch_size=8, max_wait_ms=5.0, max_queue=16)
-        submitted = [self._request(rows=3) for _ in range(3)]
-        for request in submitted:
-            batcher.submit(request)
-        batch = batcher.next_batch()
-        # 3+3 fits, the third 3-row request would overflow 8: not split.
-        assert batch == submitted[:2]
-        assert batcher.next_batch() == submitted[2:]
+        with _windowed(8, 5000.0) as server:
+            responses = [server.submit(_rows(3)) for _ in range(3)]
+            # 3+3 fits, the third 3-row request would overflow 8: the first
+            # two dispatch together at once, and the third is not split.
+            responses[0].result(timeout=1.0)
+            responses[1].result(timeout=1.0)
+            assert responses[0].completed_at <= responses[1].completed_at
+            assert not responses[2].done()
+        responses[2].result(timeout=1.0)  # drained on stop
+        metrics = server.metrics()
+        assert metrics["batches"] == 2.0
+        assert metrics["mean_batch_rows"] == 4.5
 
     def test_flushes_partial_batch_after_max_wait(self):
-        batcher = DynamicBatcher(max_batch_size=8, max_wait_ms=10.0, max_queue=16)
-        lone = self._request()
-        batcher.submit(lone)
-        started = time.monotonic()
-        assert batcher.next_batch() == [lone]
-        assert time.monotonic() - started < 5.0  # waited ~10ms, not forever
-
-    def test_queue_full_rejects(self):
-        batcher = DynamicBatcher(max_batch_size=4, max_wait_ms=1.0, max_queue=2)
-        batcher.submit(self._request())
-        batcher.submit(self._request())
-        with pytest.raises(ServerOverloadedError):
-            batcher.submit(self._request())
-
-    def test_oversized_request_rejected_up_front(self):
-        batcher = DynamicBatcher(max_batch_size=4, max_wait_ms=1.0, max_queue=4)
-        with pytest.raises(ConfigurationError):
-            batcher.submit(self._request(rows=5))
-
-    def test_expired_requests_fail_without_inference(self):
-        batcher = DynamicBatcher(max_batch_size=4, max_wait_ms=1.0, max_queue=4)
-        expired = self._request(deadline=time.monotonic() - 0.01)
-        live = self._request()
-        batcher.submit(expired)
-        batcher.submit(live)
-        assert batcher.next_batch() == [live]
-        with pytest.raises(RequestTimeoutError):
-            expired.response.result(timeout=0.1)
+        with _windowed(8, 10.0) as server:
+            started = time.monotonic()
+            server.request(_rows(1))
+            assert time.monotonic() - started < 5.0  # waited ~10ms, not forever
 
     def test_fill_window_is_anchored_to_the_head_request(self):
-        # A request that already waited (e.g. for a busy replica) longer
-        # than max_wait_ms must be taken immediately, not re-delayed by a
-        # fresh collection window.
-        batcher = DynamicBatcher(max_batch_size=8, max_wait_ms=200.0, max_queue=4)
-        stale = self._request()
-        stale.submitted -= 1.0  # arrived one second ago
-        batcher.submit(stale)
-        started = time.monotonic()
-        assert batcher.next_batch() == [stale]
-        assert time.monotonic() - started < 0.1  # no second 200 ms wait
+        # A request that already waited for a busy replica longer than
+        # max_wait_ms is taken the moment the replica frees, not re-delayed
+        # by a fresh collection window.
+        with _windowed(8, 300.0, model=_SleepyModel(0.4)) as server:
+            first = server.submit(_rows(1))
+            while server.queue_depth:  # until the window dispatches `first`
+                time.sleep(0.005)
+            second = server.submit(_rows(1))
+            first.result(timeout=5.0)
+            second.result(timeout=5.0)
+        # One forward (0.4 s) apart, not a forward plus a second 300 ms wait.
+        assert second.completed_at - first.completed_at < 0.4 + 0.15
 
     def test_saturated_batch_dispatches_without_waiting(self):
         # A full batch cannot grow, so a huge fill window must not delay it.
-        batcher = DynamicBatcher(max_batch_size=4, max_wait_ms=5000.0, max_queue=16)
-        saturating = [self._request(rows=2), self._request(rows=2)]
-        for request in saturating:
-            batcher.submit(request)
-        started = time.monotonic()
-        assert batcher.next_batch() == saturating
-        assert time.monotonic() - started < 1.0  # not the 5-second window
+        with _windowed(4, 5000.0) as server:
+            saturating = [server.submit(_rows(2)) for _ in range(2)]
+            for response in saturating:
+                response.result(timeout=1.0)  # not the 5-second window
 
     def test_unfittable_next_request_saturates_the_batch(self):
         # 3 rows collected, the next 3-row request would overflow 4: waiting
         # longer cannot add it (requests are never split), so dispatch now.
-        batcher = DynamicBatcher(max_batch_size=4, max_wait_ms=5000.0, max_queue=16)
-        first = self._request(rows=3)
-        blocked = self._request(rows=3)
-        batcher.submit(first)
-        batcher.submit(blocked)
-        started = time.monotonic()
-        assert batcher.next_batch() == [first]
-        assert time.monotonic() - started < 1.0
-        assert batcher.next_batch() == [blocked]
+        with _windowed(4, 5000.0) as server:
+            first = server.submit(_rows(3))
+            blocked = server.submit(_rows(3))
+            first.result(timeout=1.0)
+            assert not blocked.done()  # alone and unsaturated: it waits
+        blocked.result(timeout=1.0)  # drained on stop
 
     def test_unsaturated_batch_still_waits_the_window(self):
         # Saturation dispatch must not erode the fill window for batches
         # that could still grow: a lone 1-row request waits ~max_wait_ms.
-        batcher = DynamicBatcher(max_batch_size=4, max_wait_ms=50.0, max_queue=16)
-        lone = self._request(rows=1)
-        batcher.submit(lone)
-        started = time.monotonic()
-        assert batcher.next_batch() == [lone]
-        assert time.monotonic() - started >= 0.045
+        with _windowed(4, 50.0) as server:
+            started = time.monotonic()
+            lone = server.submit(_rows(1))
+            lone.result(timeout=5.0)
+        assert lone.completed_at - started >= 0.045
 
-    def test_close_drains_then_signals_none(self):
-        batcher = DynamicBatcher(max_batch_size=4, max_wait_ms=1.0, max_queue=4)
-        queued = self._request()
-        batcher.submit(queued)
-        batcher.close()
+    def test_stop_drains_the_window_then_refuses_requests(self):
+        server = _windowed(4, 5000.0)
+        queued = server.submit(_rows(1))
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 1.0  # stop does not wait the window
+        assert queued.result(timeout=0.0).shape == (1, 4)
         with pytest.raises(ServingError):
-            batcher.submit(self._request())
-        assert batcher.next_batch() == [queued]
-        assert batcher.next_batch() is None
+            server.submit(_rows(1))
+
+    def test_queue_full_rejects(self):
+        # A fill window holds its queue too: 2 queued and it is full.
+        server = serve(make_model(), max_batch_size=4, max_wait_ms=5000.0, max_queue=2)
+        with server:
+            held = [server.submit(_rows(1)) for _ in range(2)]
+            with pytest.raises(ServerOverloadedError):
+                server.submit(_rows(1))
+        for response in held:
+            response.result(timeout=1.0)  # drained on stop
+        assert server.metrics()["rejected"] == 1.0
+
+    def test_oversized_request_rejected_up_front(self):
+        with _windowed(4, 1.0) as server:
+            with pytest.raises(ConfigurationError, match="split it client-side"):
+                server.submit(_rows(5))
+        assert server.metrics()["batches"] == 0.0
+
+    def test_expired_requests_fail_without_inference(self):
+        # The deadline wins over the window: the head request expires while
+        # the window holds it, and only the live request behind it runs.
+        server = serve(
+            make_model(), max_batch_size=4, max_wait_ms=5000.0, timeout_ms=50.0
+        )
+        with server:
+            doomed = server.submit(_rows(1))
+            live = server.submit(_rows(1), timeout_ms=60_000.0)
+            with pytest.raises(RequestTimeoutError):
+                doomed.result(timeout=5.0)
+            assert not live.done()
+        assert live.result(timeout=1.0).shape == (1, 4)  # drained on stop
+        metrics = server.metrics()
+        assert metrics["timed_out"] == 1.0
+        assert metrics["batches"] == 1.0
+        assert metrics["mean_batch_rows"] == 1.0
+
+    def test_windowed_model_does_not_delay_a_continuous_one(self):
+        router = FleetRouter(replicas=1, max_batch_size=4, watchdog_interval_s=None)
+        router.add_model("windowed", make_model(seed=1), max_wait_ms=5000.0)
+        router.add_model("continuous", make_model(seed=2))
+        with router:
+            held = router.submit("windowed", _rows(1))
+            started = time.monotonic()
+            router.request("continuous", _rows(1))
+            assert time.monotonic() - started < 1.0
+            assert not held.done()
+        held.result(timeout=1.0)  # drained on stop
 
 
 # --------------------------------------------------------------------------- #
-# Server fault paths
+# Fault paths
 # --------------------------------------------------------------------------- #
 class TestServerFaults:
     def test_queue_full_rejection_and_metrics(self):
-        server = ModelServer(
-            [Replica.resident(_SleepyModel(0.2))],
+        server = serve(
+            _SleepyModel(0.2),
             max_batch_size=1,
             max_wait_ms=0.0,
             max_queue=2,
+            start=False,
         )
         with server:
             first = server.submit(np.zeros((1, 16), np.float32))
@@ -501,12 +527,13 @@ class TestServerFaults:
         assert server.metrics()["completed"] == 3.0  # queued work drained on stop
 
     def test_per_request_timeout(self):
-        server = ModelServer(
-            [Replica.resident(_SleepyModel(0.2))],
+        server = serve(
+            _SleepyModel(0.2),
             max_batch_size=1,
             max_wait_ms=0.0,
             max_queue=8,
             timeout_ms=50.0,
+            start=False,
         )
         with server:
             blocker = server.submit(np.zeros((1, 16), np.float32), timeout_ms=5000.0)
@@ -517,11 +544,9 @@ class TestServerFaults:
         assert server.metrics()["timed_out"] >= 1.0
 
     def test_mismatched_fields_in_one_batch_fail_the_batch_not_the_replica(self):
-        server = ModelServer(
-            [Replica.resident(make_model())], max_batch_size=4, max_wait_ms=20.0
-        )
+        server = serve(make_model(), max_batch_size=4, max_wait_ms=20.0, start=False)
         with server:
-            # Submitted back to back so the batcher coalesces them; their
+            # Submitted back to back so the fill window coalesces them; their
             # field sets disagree, so the concat itself fails.
             first = server.submit({"features": np.zeros((1, 16), np.float32)})
             second = server.submit(
@@ -534,29 +559,27 @@ class TestServerFaults:
                 first.result(timeout=5.0)
             with pytest.raises(ServingError):
                 second.result(timeout=5.0)
-            # The replica loop survived: the server still answers, exactly.
+            # The worker loop survived: the deployment still answers, exactly.
             x = np.ones((1, 16), np.float32)
             expected = Replica.resident(make_model()).infer({"features": x}, pad_to=4)
             assert np.array_equal(server.request(x), expected)
 
     def test_replica_failure_reaches_caller_and_server_survives(self):
         model = make_model()
-        server = ModelServer(
-            [Replica.resident(model)], max_batch_size=2, max_wait_ms=0.0
-        )
+        server = serve(model, max_batch_size=2, max_wait_ms=0.0, start=False)
         with server:
             # A request whose fields the model cannot consume fails its batch.
             bad = server.submit({"not_features": np.zeros((1, 16), np.float32)})
             with pytest.raises(ServingError):
                 bad.result(timeout=5.0)
-            # The server is still alive and exact afterwards.
+            # The deployment is still alive and exact afterwards.
             x = np.ones((1, 16), np.float32)
             expected = Replica.resident(make_model()).infer({"features": x}, pad_to=2)
             assert np.array_equal(server.request(x), expected)
         assert server.metrics()["failed"] >= 1.0
 
     def test_submit_requires_running_server(self):
-        server = ModelServer([Replica.resident(make_model())], max_batch_size=2)
+        server = serve(make_model(), max_batch_size=2, start=False)
         with pytest.raises(ServingError):
             server.submit(np.zeros((1, 16), np.float32))
         server.start()
@@ -565,7 +588,7 @@ class TestServerFaults:
             server.start()
 
     def test_inconsistent_request_rows_rejected(self):
-        server = ModelServer([Replica.resident(make_model())], max_batch_size=4)
+        server = serve(make_model(), max_batch_size=4, start=False)
         with server:
             with pytest.raises(ConfigurationError):
                 server.submit(
@@ -581,8 +604,6 @@ class TestServerFaults:
 # --------------------------------------------------------------------------- #
 class TestServeAndDeploy:
     def test_serve_rejects_shared_model_for_spilled_pool(self):
-        from repro.api import serve
-
         with pytest.raises(ConfigurationError):
             serve(make_model(), replicas=2, memory_budget=1 << 20)
 
@@ -686,11 +707,12 @@ class TestLoadGenerator:
     def test_closed_loop_accounting(self):
         rng = np.random.default_rng(0)
         inputs = rng.normal(size=(8, 16)).astype(np.float32)
-        server = ModelServer(
-            [Replica.resident(make_model())],
+        server = serve(
+            make_model(),
             max_batch_size=4,
             max_wait_ms=1.0,
             max_queue=32,
+            start=False,
         )
         with server:
             warm_up(server, inputs[:1])
@@ -706,11 +728,12 @@ class TestLoadGenerator:
         assert report.latency["latency_p99_ms"] >= report.latency["latency_p50_ms"]
 
     def test_rejections_are_counted_not_raised(self):
-        server = ModelServer(
-            [Replica.resident(_SleepyModel(0.05))],
+        server = serve(
+            _SleepyModel(0.05),
             max_batch_size=1,
             max_wait_ms=0.0,
             max_queue=1,
+            start=False,
         )
         with server:
             report = LoadGenerator(
@@ -725,11 +748,12 @@ class TestLoadGenerator:
     def test_open_loop_injects_on_schedule(self):
         rng = np.random.default_rng(1)
         inputs = rng.normal(size=(8, 16)).astype(np.float32)
-        server = ModelServer(
-            [Replica.resident(make_model())],
+        server = serve(
+            make_model(),
             max_batch_size=4,
             max_wait_ms=1.0,
             max_queue=128,
+            start=False,
         )
         with server:
             warm_up(server, inputs[:1])
@@ -751,11 +775,12 @@ class TestLoadGenerator:
     def test_open_loop_latency_uses_completion_stamps(self):
         # A response that completed long before collection must be charged
         # its completion-time latency, not the collection-time one.
-        server = ModelServer(
-            [Replica.resident(make_model())],
+        server = serve(
+            make_model(),
             max_batch_size=4,
             max_wait_ms=0.0,
             max_queue=32,
+            start=False,
         )
         with server:
             response = server.submit(np.zeros((1, 16), np.float32))

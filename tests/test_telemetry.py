@@ -6,7 +6,7 @@ Covers the tentpole contracts of ``repro.telemetry``:
   bounded buffers, drain/ingest, and loadable Chrome + JSONL exports;
 * the metrics registry — counters/gauges/histograms, live-stats collectors,
   Prometheus text exposition, and the unified snapshot schema that
-  ``ModelServer.metrics()`` / ``FleetRouter.metrics()`` validate against;
+  ``serve(...).metrics()`` / ``FleetRouter.metrics()`` validate against;
 * cross-process collection — an ``Experiment.run(pool="process")`` and a
   process-replica fleet each produce one merged trace holding parent *and*
   child-process spans, and a SIGKILLed child drops its buffer without ever
@@ -45,6 +45,7 @@ from repro.models import FeedForwardConfig, FeedForwardNetwork
 from repro.optim import Adam
 from repro.selection import SearchSpace
 from repro.serving import LatencyStats, ModelRegistry
+from repro.serving.stats import MAX_SAMPLES
 from repro.telemetry import (
     LATENCY_SNAPSHOT_KEYS,
     NULL_TELEMETRY,
@@ -366,9 +367,10 @@ class TestInstrumentation:
         forward = next(e for e in events if e["name"] == "serve.forward")
         batch = next(e for e in events if e["name"] == "serve.batch")
         assert forward["parent"] == batch["id"]
-        # The server's stats registered as a collector under its name.
+        # The router registered its metrics as a collector under its name.
         snap = tel.metrics_snapshot()
-        validate_latency_snapshot(snap["collectors"]["server.traced"])
+        collected = snap["collectors"]["router.traced"]
+        validate_latency_snapshot(collected["models"]["traced"])
 
     def test_disabled_telemetry_records_nothing(self):
         server = serve(_build_plain(), replicas=1, max_batch_size=4)
@@ -376,8 +378,8 @@ class TestInstrumentation:
             server.request(_arrays())
         finally:
             server.stop()
-        assert server.telemetry is NULL_TELEMETRY
-        assert server.telemetry.events() == []
+        assert server.router.telemetry is NULL_TELEMETRY
+        assert server.router.telemetry.events() == []
 
 
 # --------------------------------------------------------------------- #
@@ -549,6 +551,13 @@ class TestBoundedLatencyStats:
         validate_latency_snapshot(snap)
         # The reservoir is a uniform sample: percentiles stay in range.
         assert 0.001 <= snap["latency_p50_ms"] / 1e3 <= 0.1
+
+    def test_default_collector_is_bounded(self):
+        stats = LatencyStats()
+        for value in range(MAX_SAMPLES + 500):
+            stats.record(value / 1e6)
+        assert len(stats._latencies) == MAX_SAMPLES
+        assert stats.snapshot()["completed"] == float(MAX_SAMPLES + 500)
 
     def test_reservoir_is_deterministic(self):
         def run():
