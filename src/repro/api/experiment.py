@@ -36,6 +36,7 @@ from repro.selection.experiment import (
     TrialResult,
 )
 from repro.selection.search_space import SearchSpace
+from repro.telemetry import NULL_TELEMETRY
 
 
 @dataclass(frozen=True)
@@ -440,12 +441,13 @@ class Experiment:
                 retry=retry,
                 pool_kind=pool if pool is not None else "thread",
             )
-        if telemetry is not None and telemetry.enabled:
+        if telemetry is not None:
             # Attach to the *fully wrapped* engine so the runtime layer can
             # propagate (or, for process pools, re-create) the recorder.
             setter = getattr(engine, "set_telemetry", None)
             if callable(setter):
                 setter(telemetry)
+        tel = telemetry if telemetry is not None else NULL_TELEMETRY
         searcher = (
             make_searcher(self.searcher) if isinstance(self.searcher, str) else self.searcher
         )
@@ -458,12 +460,10 @@ class Experiment:
         try:
             # Even on a mid-search failure, live trial state must reach
             # backend.teardown and on_trial_end observers (runner.__exit__).
-            with TrialRunner(engine, self.space, self.budget, tracker, hooks) as runner:
-                if telemetry is not None and telemetry.enabled:
-                    with telemetry.span("experiment", cat="experiment", experiment=self.name):
-                        searcher.run(runner)
-                else:
-                    searcher.run(runner)
+            with TrialRunner(
+                engine, self.space, self.budget, tracker, hooks
+            ) as runner, tel.span("experiment", cat="experiment", experiment=self.name):
+                searcher.run(runner)
         finally:
             if owned_runtime is not None:
                 owned_runtime.close()

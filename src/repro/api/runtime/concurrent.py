@@ -95,22 +95,20 @@ class _ChildTrialTask:
         tel = Telemetry() if self.telemetry_enabled else NULL_TELEMETRY
         try:
             setter = getattr(backend, "set_telemetry", None)
-            if tel.enabled and callable(setter):
+            if callable(setter):
                 setter(tel)
-            with log_context(trial_id=outer.trial_id):
-                if tel.enabled:
-                    # A nesting span, so the backend's epoch/step spans get
-                    # this trial as their parent in the merged trace.
-                    with tel.span("trial", cat="experiment", trial_id=outer.trial_id):
-                        handle, metrics, elapsed, snapshot = self._run(backend, outer)
-                else:
-                    handle, metrics, elapsed, snapshot = self._run(backend, outer)
+            # A nesting span, so the backend's epoch/step spans get this
+            # trial as their parent in the merged trace.
+            with log_context(trial_id=outer.trial_id), tel.span(
+                "trial", cat="experiment", trial_id=outer.trial_id
+            ):
+                handle, metrics, elapsed, snapshot = self._run(backend, outer)
             return _ChildTrialReport(
                 metrics=dict(metrics),
                 elapsed=elapsed,
                 snapshot=snapshot,
                 annotations=dict(handle.annotations),
-                events=tuple(tel.drain()) if tel.enabled else (),
+                events=tuple(tel.drain()),
             )
         finally:
             # This unpickled backend copy dies with the task, but the child
@@ -235,12 +233,11 @@ class ConcurrentBackend(ExecutionBackend):
             setter = getattr(self.inner, "set_telemetry", None)
             if callable(setter):
                 setter(self.telemetry)
-        if self.telemetry.enabled:
-            self.telemetry.register_collector(
-                "runtime.pool",
-                lambda: {"kind": {"thread": 0, "process": 1}.get(self.pool.kind, -1),
-                         "workers": self.pool.size},
-            )
+        self.telemetry.register_collector(
+            "runtime.pool",
+            lambda: {"kind": {"thread": 0, "process": 1}.get(self.pool.kind, -1),
+                     "workers": self.pool.size},
+        )
 
     # ------------------------------------------------------------------ #
     # Protocol
@@ -291,12 +288,10 @@ class ConcurrentBackend(ExecutionBackend):
                 if isinstance(outcome, TrialFault):
                     handle.failure = outcome
                     self._teardown_inner(handle)
-                    if tel.enabled:
-                        tel.counter("runtime.trials.failed")
+                    tel.counter("runtime.trials.failed")
                 metrics[handle.trial_id] = {}
                 continue
-            if tel.enabled:
-                tel.counter("runtime.trials.completed")
+            tel.counter("runtime.trials.completed")
             if isinstance(outcome, _ChildTrialReport):
                 handle.wall_seconds += outcome.elapsed
                 for key, value in outcome.annotations.items():
@@ -353,23 +348,16 @@ class ConcurrentBackend(ExecutionBackend):
         self, handle: TrialHandle, epochs: int
     ) -> Tuple[Dict[str, float], float]:
         """In-worker task: lazily prepare, then train, timing this trial only."""
-        tel = self.telemetry
-        with log_context(trial_id=handle.trial_id):
-            if tel.enabled:
-                with tel.span("trial", cat="experiment", trial_id=handle.trial_id):
-                    return self._train_one_impl(handle, epochs)
-            return self._train_one_impl(handle, epochs)
-
-    def _train_one_impl(
-        self, handle: TrialHandle, epochs: int
-    ) -> Tuple[Dict[str, float], float]:
-        inner_handle = self._inner_handle(handle)
-        started = time.monotonic()
-        trial_metrics = self.inner.train(inner_handle, epochs)
-        elapsed = time.monotonic() - started
-        inner_handle.epochs_trained += epochs
-        inner_handle.last_metrics = dict(trial_metrics)
-        return dict(trial_metrics), elapsed
+        with log_context(trial_id=handle.trial_id), self.telemetry.span(
+            "trial", cat="experiment", trial_id=handle.trial_id
+        ):
+            inner_handle = self._inner_handle(handle)
+            started = time.monotonic()
+            trial_metrics = self.inner.train(inner_handle, epochs)
+            elapsed = time.monotonic() - started
+            inner_handle.epochs_trained += epochs
+            inner_handle.last_metrics = dict(trial_metrics)
+            return dict(trial_metrics), elapsed
 
     def _inner_handle(self, handle: TrialHandle) -> TrialHandle:
         """Get or build the inner backend's handle for this outer handle.

@@ -297,10 +297,7 @@ def _replica_child_main(spec: ModelSpec, conn, telemetry_enabled: bool = False) 
     """
     tel = Telemetry() if telemetry_enabled else NULL_TELEMETRY
     try:
-        if tel.enabled:
-            with tel.span("replica.build", cat="serving"):
-                model = spec.build()
-        else:
+        with tel.span("replica.build", cat="serving"):
             model = spec.build()
     except BaseException as error:  # noqa: BLE001 - mirrored to the parent
         _safe_send(conn, ("err", error))
@@ -339,17 +336,10 @@ def _replica_child_main(spec: ModelSpec, conn, telemetry_enabled: bool = False) 
             }
             rows = request_rows(arrays)
             padded = arrays if pad_to is None else pad_rows(arrays, rows, pad_to)
-            if tel.enabled:
-                with tel.span("replica.forward", cat="serving", rows=rows):
-                    with no_grad():
-                        output = model.forward(
-                            Batch(arrays={k: np.asarray(v) for k, v in padded.items()})
-                        )
-            else:
-                with no_grad():
-                    output = model.forward(
-                        Batch(arrays={k: np.asarray(v) for k, v in padded.items()})
-                    )
+            with tel.span("replica.forward", cat="serving", rows=rows), no_grad():
+                output = model.forward(
+                    Batch(arrays={k: np.asarray(v) for k, v in padded.items()})
+                )
             output = slice_rows(output, 0, rows)
             leaves_out: List[Tuple[str, np.ndarray]] = []
             structure = _flatten_output(output, leaves_out)
@@ -381,9 +371,8 @@ def _replica_child_main(spec: ModelSpec, conn, telemetry_enabled: bool = False) 
                 "segment": response_name,
                 "structure": structure,
                 "fields": fields,
+                "events": tel.drain(),
             }
-            if tel.enabled:
-                reply_meta["events"] = tel.drain()
             _safe_send(conn, ("ok", reply_meta))
     for segment in segments.values():
         try:

@@ -250,15 +250,14 @@ class SpillManager:
         before telemetry is wired in.
         """
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        if self.telemetry.enabled:
-            self.telemetry.register_collector(
-                name,
-                lambda: {
-                    **self.stats.as_dict(),
-                    "resident_bytes": self.resident_bytes(),
-                    "registered_bytes": self.registered_bytes(),
-                },
-            )
+        self.telemetry.register_collector(
+            name,
+            lambda: {
+                **self.stats.as_dict(),
+                "resident_bytes": self.resident_bytes(),
+                "registered_bytes": self.registered_bytes(),
+            },
+        )
 
     # ------------------------------------------------------------------ #
     # Registration
@@ -417,13 +416,9 @@ class SpillManager:
                     self._wait_locked(deadline, key)
                     continue
                 arena.allocate(self._arena_key(record), record.nbytes)
-                tel = self.telemetry
-                if tel.enabled:
-                    with tel.span(
-                        "spill.fetch", cat="memory", key=str(key), bytes=record.nbytes
-                    ):
-                        self._restore_locked(record)
-                else:
+                with self.telemetry.span(
+                    "spill.fetch", cat="memory", key=str(key), bytes=record.nbytes
+                ):
                     self._restore_locked(record)
                 record.state = ResidencyState.RESIDENT
                 record.pins += 1
@@ -445,16 +440,21 @@ class SpillManager:
 
     @contextmanager
     def lease(self, key: ShardKey) -> Iterator[None]:
-        """``with manager.lease(key):`` — acquire on entry, release on exit."""
+        """``with manager.lease(key):`` — acquire on entry, release on exit.
+
+        The ``spill.lease`` span covers the wait for residency too, so a
+        lease whose acquire times out still shows up in the trace.
+        """
         tel = self.telemetry
-        token = tel.begin("spill.lease", cat="memory", key=str(key)) if tel.enabled else None
-        self.acquire(key)
+        token = tel.begin("spill.lease", cat="memory", key=str(key))
         try:
-            yield
+            self.acquire(key)
+            try:
+                yield
+            finally:
+                self.release(key)
         finally:
-            self.release(key)
-            if token is not None:
-                tel.end(token)
+            tel.end(token)
 
     def announce(self, model_id: str, sequence: Sequence[ShardKey]) -> None:
         """Declare a model's upcoming access sequence (for schedule-aware eviction)."""
@@ -494,14 +494,9 @@ class SpillManager:
             payload = self._take_payload(record)
 
         def job() -> None:
-            tel = self.telemetry
-            if tel.enabled:
-                with tel.span(
-                    "spill.prefetch", cat="memory",
-                    key=str(record.key), bytes=record.nbytes,
-                ):
-                    self._copy_into_live_arrays(record, payload)
-            else:
+            with self.telemetry.span(
+                "spill.prefetch", cat="memory", key=str(record.key), bytes=record.nbytes
+            ):
                 self._copy_into_live_arrays(record, payload)
 
         def on_done(error: Optional[BaseException]) -> None:
@@ -598,28 +593,21 @@ class SpillManager:
         return True
 
     def _evict_locked(self, record: ShardResidency) -> None:
-        tel = self.telemetry
-        if tel.enabled:
-            with tel.span(
-                "spill.evict", cat="memory", key=str(record.key), bytes=record.nbytes
-            ):
-                self._evict_body(record)
-        else:
-            self._evict_body(record)
-
-    def _evict_body(self, record: ShardResidency) -> None:
         # The stash copy (and, with a disk-tiered cache, its overflow write)
         # runs under the manager lock: deferring it would need an extra
         # EVICTING state so a concurrent acquire cannot observe the scrubbed
         # arrays as canonical.  Correctness-first; the hold is one shard's
         # memcpy unless a disk tier is configured.
-        arrays = record.arrays_fn()
-        self.cache.put(record.key, arrays)
-        if self.scrub_evicted:
-            for array in arrays:
-                if np.issubdtype(array.dtype, np.floating):
-                    array.fill(np.nan)
-        self.arenas[record.device].release(self._arena_key(record))
+        with self.telemetry.span(
+            "spill.evict", cat="memory", key=str(record.key), bytes=record.nbytes
+        ):
+            arrays = record.arrays_fn()
+            self.cache.put(record.key, arrays)
+            if self.scrub_evicted:
+                for array in arrays:
+                    if np.issubdtype(array.dtype, np.floating):
+                        array.fill(np.nan)
+            self.arenas[record.device].release(self._arena_key(record))
         record.state = ResidencyState.EVICTED
         self.stats.evictions += 1
         self.stats.bytes_evicted += record.nbytes

@@ -207,8 +207,7 @@ class Replica:
             scrub_evicted=scrub_evicted,
             telemetry=telemetry,
         )
-        if telemetry is not None and telemetry.enabled:
-            executor.telemetry = telemetry
+        executor.telemetry = manager.telemetry
         executor.bind_memory(manager, model_id=name, device_of=lambda shard: _SERVE_ARENA)
         return cls(model, executor=executor, manager=manager, name=name)
 

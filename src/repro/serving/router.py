@@ -521,8 +521,7 @@ class FleetRouter:
         # facade, which imports this package.
         from repro.api.runtime.pool import ThreadWorkerPool
 
-        if self.telemetry.enabled:
-            self.telemetry.register_collector(f"router.{self.name}", self.metrics)
+        self.telemetry.register_collector(f"router.{self.name}", self.metrics)
         self._pool = ThreadWorkerPool(self.replicas)
         self._running = True
         self._loops = [
@@ -628,11 +627,9 @@ class FleetRouter:
             submitted=now,
             deadline=None if limit is None else now + float(limit) / 1e3,
         )
-        if self.telemetry.enabled:
-            self.telemetry.event(
-                "request.submit", cat="serving",
-                router=self.name, model=model, rows=rows,
-            )
+        self.telemetry.event(
+            "request.submit", cat="serving", router=self.name, model=model, rows=rows
+        )
         with self._cond:
             if self._closed:
                 raise ServingError("router is stopped; no new requests accepted")
@@ -846,7 +843,6 @@ class FleetRouter:
 
     def _serve_loop(self) -> None:
         """One worker's life: pick a (model, replica, batch), infer, complete."""
-        tel = self.telemetry
         released = None
         while True:
             assignment = self._next_assignment(released)
@@ -854,18 +850,13 @@ class FleetRouter:
                 return
             entry, replica, batch, rows, depths = assignment
             released = None if entry.budgeted else (entry, replica)
-            with log_context(router=self.name, model=entry.name):
-                if tel.enabled:
-                    with tel.span(
-                        "serve.batch", cat="serving",
-                        router=self.name, model=entry.name,
-                        rows=rows, requests=len(batch),
-                    ):
-                        self._serve_batch(entry, replica, batch, rows, depths, tel)
-                else:
-                    self._serve_batch(entry, replica, batch, rows, depths, tel)
+            with log_context(router=self.name, model=entry.name), self.telemetry.span(
+                "serve.batch", cat="serving",
+                router=self.name, model=entry.name, rows=rows, requests=len(batch),
+            ):
+                self._serve_batch(entry, replica, batch, rows, depths)
 
-    def _serve_batch(self, entry, replica, batch, rows, depths, tel) -> None:
+    def _serve_batch(self, entry, replica, batch, rows, depths) -> None:
         """Run one assigned micro-batch and complete its responses."""
         started = time.monotonic()
         try:
@@ -879,15 +870,10 @@ class FleetRouter:
                 if entry.budgeted
                 else contextlib.nullcontext()
             )
-            with lease:
-                if tel.enabled:
-                    with tel.span(
-                        "serve.forward", cat="serving",
-                        model=entry.name, replica=replica.name,
-                    ):
-                        output = replica.infer(arrays, pad_to=entry.compute_batch_size)
-                else:
-                    output = replica.infer(arrays, pad_to=entry.compute_batch_size)
+            with lease, self.telemetry.span(
+                "serve.forward", cat="serving", model=entry.name, replica=replica.name
+            ):
+                output = replica.infer(arrays, pad_to=entry.compute_batch_size)
         except BaseException as error:  # noqa: BLE001 - mirrored to clients
             # Typed serving errors (ReplicaCrashedError from a killed
             # child, ...) pass through so clients can react specifically.
@@ -942,11 +928,9 @@ class FleetRouter:
             if queued and progressed == 0:
                 with self._cond:
                     self._stalls += 1
-                if self.telemetry.enabled:
-                    self.telemetry.event(
-                        "router.stall", cat="serving",
-                        router=self.name, queued=queued,
-                    )
+                self.telemetry.event(
+                    "router.stall", cat="serving", router=self.name, queued=queued
+                )
                 logger.warning(
                     "router=%s watchdog: no progress for %.1fs with %d queued "
                     "(queues=%s resident=%s)",

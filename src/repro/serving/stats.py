@@ -2,13 +2,12 @@
 
 One :class:`LatencyStats` instance accumulates per-request latencies (and
 the counters around them) behind a lock, so replica threads, the admission
-path, and metric readers never race.  Percentiles are computed on demand
-from the raw samples, at most ``max_samples`` of them (default
-:data:`MAX_SAMPLES`), so a long-lived router's memory stays bounded: below
-the cap every sample is kept and percentiles are exact; above it, reservoir
-sampling (Vitter's Algorithm R, deterministic seed) keeps each sample with
-probability ``max_samples / n``, so percentiles stay an unbiased estimate
-of the full history while the counters remain exact.
+path, and metric readers never race.  The latencies live in a
+:class:`~repro.telemetry.metrics.Histogram` — the same bounded,
+fixed-seed reservoir the metrics registry uses — so a long-lived router's
+memory stays bounded at ``max_samples`` (default :data:`MAX_SAMPLES`):
+below the cap percentiles are exact, above it they are an unbiased
+estimate of the full history while the counters remain exact.
 
 :class:`ServerStats` is the two-level aggregation the
 :class:`~repro.serving.router.FleetRouter` reports through: one fleet-wide
@@ -18,17 +17,13 @@ lands in both its model's distribution and the fleet's.
 
 from __future__ import annotations
 
-import random
 import threading
 import time
 from typing import Dict, List, Optional
 
 import numpy as np
 
-#: the latency percentiles every report carries, in order
-PERCENTILES = (50.0, 95.0, 99.0)
-#: latency samples one collector keeps (exact percentiles up to this many)
-MAX_SAMPLES = 10_000
+from repro.telemetry.metrics import MAX_SAMPLES, Histogram, percentiles
 
 
 def latency_summary(latencies_seconds: List[float]) -> Dict[str, float]:
@@ -46,11 +41,11 @@ def latency_summary(latencies_seconds: List[float]) -> Dict[str, float]:
             "latency_mean_ms": 0.0,
         }
     values = np.asarray(latencies_seconds, dtype=np.float64) * 1e3
-    p50, p95, p99 = np.percentile(values, PERCENTILES)
+    p50, p95, p99 = percentiles(values)
     return {
-        "latency_p50_ms": float(p50),
-        "latency_p95_ms": float(p95),
-        "latency_p99_ms": float(p99),
+        "latency_p50_ms": p50,
+        "latency_p95_ms": p95,
+        "latency_p99_ms": p99,
         "latency_mean_ms": float(values.mean()),
     }
 
@@ -75,15 +70,8 @@ class LatencyStats:
     """
 
     def __init__(self, max_samples: int = MAX_SAMPLES) -> None:
-        if max_samples <= 0:
-            raise ValueError(f"max_samples must be positive, got {max_samples}")
+        self._latencies = Histogram(max_samples)
         self._lock = threading.Lock()
-        self._latencies: List[float] = []
-        self._max_samples = max_samples
-        # Deterministic reservoir: snapshots are reproducible under the
-        # repo-wide exactness bar, and tests can assert on them.
-        self._rng = random.Random(0x5EED)
-        self._completed = 0
         self.rejected = 0
         self.timed_out = 0
         self.failed = 0
@@ -99,15 +87,7 @@ class LatencyStats:
         """Record completed requests' end-to-end latencies (one per request)."""
         with self._lock:
             for latency in latencies_seconds:
-                self._completed += 1
-                if len(self._latencies) < self._max_samples:
-                    self._latencies.append(float(latency))
-                else:
-                    # Algorithm R: the n-th sample replaces a reservoir slot
-                    # with probability max_samples / n.
-                    slot = self._rng.randrange(self._completed)
-                    if slot < self._max_samples:
-                        self._latencies[slot] = float(latency)
+                self._latencies.observe(latency)
 
     def count(self, *, rejected: int = 0, timed_out: int = 0, failed: int = 0) -> None:
         """Bump the failure counters (requests that produced no response)."""
@@ -137,18 +117,21 @@ class LatencyStats:
     def completed(self) -> int:
         """Number of requests that received a response (exact, not sampled)."""
         with self._lock:
-            return self._completed
+            return self._latencies.count
 
     # ------------------------------------------------------------------ #
     def snapshot(self, window_seconds: Optional[float] = None) -> Dict[str, float]:
         """Counters, percentiles, and throughput as one plain dict.
 
         ``throughput_rps`` divides completed requests by ``window_seconds``
-        when given, otherwise by the time since this collector was created.
+        when given (it must be positive), otherwise by the time since this
+        collector was created.
         """
+        if window_seconds is not None and not float(window_seconds) > 0:
+            raise ValueError(f"window_seconds must be positive, got {window_seconds}")
         with self._lock:
-            latencies = list(self._latencies)
-            completed = self._completed
+            latencies = self._latencies.samples()
+            completed = self._latencies.count
             elapsed = (
                 float(window_seconds)
                 if window_seconds is not None

@@ -7,7 +7,8 @@ stack measures behind one snapshot schema (documented in
 
 * **counters** — monotonic totals (``runtime.trials.completed``);
 * **gauges** — latest values (``pool.size``);
-* **histograms** — bounded-sample distributions with p50/p95/p99;
+* **histograms** — bounded-sample distributions with p50/p95/p99 (the
+  same reservoir-sampled :class:`Histogram` that holds serving latencies);
 * **collectors** — named callbacks polled at snapshot time.  This is how
   existing live stats objects (:class:`~repro.serving.stats.ServerStats`,
   spill residency, pool/runner state) are *absorbed* rather than
@@ -21,14 +22,17 @@ collector dicts flattened with ``_``, non-numeric leaves skipped).
 
 from __future__ import annotations
 
+import random
 import re
 import threading
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-#: histogram percentiles, matching the serving-side latency reports
-_PERCENTILES = (50.0, 95.0, 99.0)
+#: the percentiles every histogram and latency report carries, in order
+PERCENTILES = (50.0, 95.0, 99.0)
+#: samples one distribution keeps (exact percentiles up to this many)
+MAX_SAMPLES = 10_000
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -41,10 +45,26 @@ def _sanitize(name: str) -> str:
     return cleaned
 
 
-class Histogram:
-    """A bounded-sample distribution (windowed: keeps the last ``max_samples``)."""
+def percentiles(samples: Sequence[float]) -> Tuple[float, float, float]:
+    """``(p50, p95, p99)`` of a non-empty sample, as floats."""
+    p50, p95, p99 = np.percentile(np.asarray(samples, dtype=np.float64), PERCENTILES)
+    return float(p50), float(p95), float(p99)
 
-    def __init__(self, max_samples: int = 4096):
+
+class Histogram:
+    """A bounded-sample distribution: exact totals, reservoir-sampled percentiles.
+
+    ``count``/``sum``/``min``/``max`` cover every observation.  At most
+    ``max_samples`` values are kept for percentiles: below the cap every
+    value is kept and percentiles are exact; past it, reservoir sampling
+    (Vitter's Algorithm R, fixed seed) keeps each value with probability
+    ``max_samples / count``, so percentiles stay an unbiased estimate of
+    the whole history and are reproducible run to run.  Not thread-safe on
+    its own: the owner (registry, :class:`~repro.serving.stats.LatencyStats`)
+    holds its lock around every call.
+    """
+
+    def __init__(self, max_samples: int = MAX_SAMPLES):
         if max_samples <= 0:
             raise ValueError(f"max_samples must be positive, got {max_samples}")
         self.count = 0
@@ -53,7 +73,7 @@ class Histogram:
         self.max: Optional[float] = None
         self._max_samples = int(max_samples)
         self._samples: List[float] = []
-        self._cursor = 0
+        self._rng = random.Random(0x5EED)
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -64,9 +84,15 @@ class Histogram:
         if len(self._samples) < self._max_samples:
             self._samples.append(value)
         else:
-            # Ring buffer: percentiles reflect the most recent window.
-            self._samples[self._cursor] = value
-            self._cursor = (self._cursor + 1) % self._max_samples
+            # Algorithm R: the n-th value replaces a reservoir slot with
+            # probability max_samples / n.
+            slot = self._rng.randrange(self.count)
+            if slot < self._max_samples:
+                self._samples[slot] = value
+
+    def samples(self) -> List[float]:
+        """A copy of the kept samples (all of them below the cap)."""
+        return list(self._samples)
 
     def snapshot(self) -> Dict[str, float]:
         if not self.count:
@@ -74,17 +100,16 @@ class Histogram:
                 "count": 0.0, "sum": 0.0, "min": 0.0, "max": 0.0,
                 "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0,
             }
-        values = np.asarray(self._samples, dtype=np.float64)
-        p50, p95, p99 = np.percentile(values, _PERCENTILES)
+        p50, p95, p99 = percentiles(self._samples)
         return {
             "count": float(self.count),
             "sum": float(self.total),
             "min": float(self.min),
             "max": float(self.max),
             "mean": float(self.total / self.count),
-            "p50": float(p50),
-            "p95": float(p95),
-            "p99": float(p99),
+            "p50": p50,
+            "p95": p95,
+            "p99": p99,
         }
 
 

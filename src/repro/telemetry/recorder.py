@@ -22,10 +22,11 @@ Two recording shapes:
   captures the current stack top as the parent but does not push.
 
 The disabled path is :class:`NullTelemetry` — a picklable singleton whose
-``span`` returns one shared no-op context manager.  Instrumentation sites
-guard with a single ``if tel.enabled:`` branch, which the E16 benchmark
-(``benchmarks/test_bench_telemetry.py``) holds to <3% overhead on the
-training hotpath and the serving loop.
+``span`` returns one shared no-op context manager and whose other calls do
+nothing.  Instrumentation sites call the recorder unguarded, in one form
+whether it records or not; the E16 benchmark
+(``benchmarks/test_bench_telemetry.py``) holds that disabled path to <3%
+overhead on the training hotpath and the serving loop.
 
 Export targets: :meth:`Telemetry.export_chrome_trace` writes the Chrome /
 Perfetto ``trace.json`` format (load it at ``ui.perfetto.dev`` or
@@ -350,8 +351,11 @@ class NullTelemetry:
 
     There is one shared instance, :data:`NULL_TELEMETRY`; it pickles back
     to itself, so backends carrying it cross process boundaries for free.
-    Instrumentation sites check :attr:`enabled` once and skip the recording
-    calls entirely — this class exists so *unguarded* calls are still safe.
+    Instrumentation sites call it exactly as they call a live recorder:
+    ``span`` hands back one shared no-op context manager, ``begin`` returns
+    ``None`` (which ``end`` accepts), and everything else returns at once.
+    :attr:`enabled` is only read to tell a child process whether to build
+    its own recorder.
     """
 
     enabled = False

@@ -340,11 +340,8 @@ class ShardedModelExecutor:
                 "train_step received a different optimizer than bind_memory; "
                 "spilled updates must go through the registered optimizer"
             )
-        tel = self.telemetry
-        if tel.enabled:
-            with tel.span("step", cat="training", model=self.model.model_name):
-                return self._train_step_impl(batch, optimizer)
-        return self._train_step_impl(batch, optimizer)
+        with self.telemetry.span("step", cat="training", model=self.model.model_name):
+            return self._train_step_impl(batch, optimizer)
 
     def _train_step_impl(self, batch: Batch, optimizer: Optimizer) -> float:
         """The uninstrumented step body (E16 benchmarks this directly)."""
@@ -501,10 +498,9 @@ class ShardParallelTrainer:
                     except StopIteration:
                         finished[index] = True
                         continue
-                    if tel.enabled:
-                        tokens[index] = tel.begin(
-                            "step", cat="training", model=slot.model_id, epoch=epoch
-                        )
+                    tokens[index] = tel.begin(
+                        "step", cat="training", model=slot.model_id, epoch=epoch
+                    )
                     slot.executor.begin_batch()
                     slot.executor.model.zero_grad()
                     phases[index] = "forward"
@@ -528,9 +524,7 @@ class ShardParallelTrainer:
                         # Free the finished batch's activation stashes before
                         # the next fetch so peak memory spans one batch, not two.
                         slot.executor.end_batch()
-                        if tokens[index] is not None:
-                            tel.end(tokens[index])
-                            tokens[index] = None
+                        tel.end(tokens[index])
                         batches[index] = None
                         phases[index] = "fetch"
             if not progressed:

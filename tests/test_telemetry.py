@@ -12,7 +12,8 @@ Covers the tentpole contracts of ``repro.telemetry``:
   child-process spans, and a SIGKILLed child drops its buffer without ever
   tearing the parent's timeline;
 * the observability satellites — idempotent ``set_verbosity``, contextual
-  log records, and the bounded ``LatencyStats`` reservoir.
+  log records, and the bounded reservoir shared by ``LatencyStats`` and
+  registry histograms.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from repro.api import (
     serve_fleet,
 )
 from repro.data import DataLoader, make_classification
-from repro.exceptions import ConfigurationError, ServingError
+from repro.exceptions import ConfigurationError, MemoryBudgetError, ServingError
 from repro.memory import DeviceArena, SpillManager
 from repro.models import FeedForwardConfig, FeedForwardNetwork
 from repro.optim import Adam
@@ -49,6 +50,7 @@ from repro.serving.stats import MAX_SAMPLES
 from repro.telemetry import (
     LATENCY_SNAPSHOT_KEYS,
     NULL_TELEMETRY,
+    Histogram,
     SchemaError,
     Telemetry,
     assert_monotonic,
@@ -270,6 +272,20 @@ class TestMetrics:
         with pytest.raises(SchemaError):
             validate_latency_snapshot(dict(good, completed=-1.0))
 
+    def test_non_positive_window_is_rejected(self):
+        stats = LatencyStats()
+        stats.record(0.004)
+        assert stats.snapshot(window_seconds=2.0)["throughput_rps"] == 0.5
+        for window in (0, 0.0, -1.0):
+            with pytest.raises(ValueError, match="window_seconds"):
+                stats.snapshot(window_seconds=window)
+        # Both public metrics entry points pass the window straight through.
+        server = serve(_build_plain(), replicas=1, max_batch_size=4, start=False)
+        with pytest.raises(ValueError, match="window_seconds"):
+            server.metrics(window_seconds=0)
+        with pytest.raises(ValueError, match="window_seconds"):
+            server.router.metrics(window_seconds=-1.0)
+
     def test_server_metrics_validate_against_the_schema(self):
         server = serve(_build_plain(), replicas=1, max_batch_size=4, name="schema")
         try:
@@ -320,6 +336,25 @@ class TestInstrumentation:
         assert names.count("spill.lease") == 3
         assert "spill.evict" in names
         assert "spill.fetch" in names
+
+    def test_failed_lease_still_records_its_span(self):
+        tel = Telemetry()
+        a = np.zeros(4, dtype=np.float32)
+        b = np.ones(4, dtype=np.float32)
+        manager = SpillManager(
+            [DeviceArena("dev0", 16)], telemetry=tel, acquire_timeout_seconds=0.2
+        )
+        manager.register(("m", 0), "dev0", 16, lambda: [a])
+        manager.register(("m", 1), "dev0", 16, lambda: [b])
+        manager.acquire(("m", 0))  # pinned: shard 1 can never fit
+        with pytest.raises(MemoryBudgetError):
+            with manager.lease(("m", 1)):
+                pass  # pragma: no cover - the acquire times out first
+        manager.release(("m", 0))
+        manager.close()
+        leases = [event for event in tel.events() if event["name"] == "spill.lease"]
+        assert [event["args"]["key"] for event in leases] == [str(("m", 1))]
+        assert leases[0]["dur"] >= 0.1  # the stall is in the trace
 
     def test_experiment_trace_covers_trial_epoch_step(self):
         tel = Telemetry()
@@ -529,45 +564,124 @@ class TestLogging:
 
 
 # --------------------------------------------------------------------- #
-# Satellite: bounded LatencyStats
+# Satellite: bounded distributions (LatencyStats and registry histograms)
 # --------------------------------------------------------------------- #
+class _ServingLatencies:
+    """``LatencyStats``, the serving collector (reports milliseconds)."""
+
+    keys = ("latency_p50_ms", "latency_p95_ms", "latency_p99_ms", "completed")
+    #: snapshot units per recorded second
+    scale = 1e3
+
+    def __init__(self, max_samples=None):
+        self.stats = LatencyStats() if max_samples is None else LatencyStats(max_samples)
+
+    def record(self, value):
+        self.stats.record(value)
+
+    def samples(self):
+        return self.stats._latencies.samples()
+
+    def snapshot(self):
+        snap = self.stats.snapshot()
+        validate_latency_snapshot(snap)
+        return snap
+
+
+class _RegistryHistogram:
+    """A registry histogram: ``Telemetry.observe`` at the default cap.
+
+    ``Telemetry.observe`` has no cap option, so another cap drives the
+    registry's :class:`Histogram` class directly.
+    """
+
+    keys = ("p50", "p95", "p99", "count")
+    scale = 1.0
+
+    def __init__(self, max_samples=None):
+        self.tel = Telemetry()
+        self.histogram = None if max_samples is None else Histogram(max_samples)
+
+    def record(self, value):
+        if self.histogram is None:
+            self.tel.observe("latency", value)
+        else:
+            self.histogram.observe(value)
+
+    def samples(self):
+        if self.histogram is None:
+            return self.tel.metrics._histograms["latency"].samples()
+        return self.histogram.samples()
+
+    def snapshot(self):
+        if self.histogram is not None:
+            return self.histogram.snapshot()
+        snap = self.tel.metrics_snapshot()
+        validate_registry_snapshot(snap)
+        return snap["histograms"]["latency"]
+
+
 class TestBoundedLatencyStats:
+    """Bounded-sample cases, run on ``LatencyStats`` here and on the
+    registry histogram by the subclass below."""
+
+    distribution = _ServingLatencies
+
     def test_below_the_cap_percentiles_are_exact(self):
-        exact, bounded = LatencyStats(), LatencyStats(max_samples=1000)
+        exact, bounded = self.distribution(), self.distribution(max_samples=1000)
         for value in np.random.default_rng(5).uniform(0.001, 0.1, size=500):
             exact.record(value)
             bounded.record(value)
         a, b = exact.snapshot(), bounded.snapshot()
-        for key in ("latency_p50_ms", "latency_p95_ms", "latency_p99_ms", "completed"):
+        for key in self.distribution.keys:
             assert a[key] == b[key]
 
     def test_above_the_cap_memory_is_bounded_and_counts_exact(self):
-        stats = LatencyStats(max_samples=64)
+        stats = self.distribution(max_samples=64)
         for value in np.random.default_rng(6).uniform(0.001, 0.1, size=5000):
             stats.record(value)
-        assert len(stats._latencies) == 64
+        assert len(stats.samples()) == 64
         snap = stats.snapshot()
-        assert snap["completed"] == 5000.0  # exact, not sampled
-        validate_latency_snapshot(snap)
+        p50, count = snap[self.distribution.keys[0]], snap[self.distribution.keys[-1]]
+        assert count == 5000.0  # exact, not sampled
         # The reservoir is a uniform sample: percentiles stay in range.
-        assert 0.001 <= snap["latency_p50_ms"] / 1e3 <= 0.1
+        assert 0.001 <= p50 / self.distribution.scale <= 0.1
 
     def test_default_collector_is_bounded(self):
-        stats = LatencyStats()
+        stats = self.distribution()
         for value in range(MAX_SAMPLES + 500):
             stats.record(value / 1e6)
-        assert len(stats._latencies) == MAX_SAMPLES
-        assert stats.snapshot()["completed"] == float(MAX_SAMPLES + 500)
+        assert len(stats.samples()) == MAX_SAMPLES
+        assert stats.snapshot()[self.distribution.keys[-1]] == float(MAX_SAMPLES + 500)
 
     def test_reservoir_is_deterministic(self):
         def run():
-            stats = LatencyStats(max_samples=32)
+            stats = self.distribution(max_samples=32)
             for value in range(1000):
                 stats.record(value / 1000.0)
-            return list(stats._latencies)
+            return list(stats.samples())
 
         assert run() == run()  # fixed-seed reservoir: reproducible samples
 
     def test_invalid_cap_rejected(self):
         with pytest.raises(ValueError):
-            LatencyStats(max_samples=0)
+            self.distribution(max_samples=0)
+
+
+class TestBoundedRegistryHistogram(TestBoundedLatencyStats):
+    distribution = _RegistryHistogram
+
+    def test_histogram_totals_stay_exact_past_the_cap(self):
+        values = np.random.default_rng(7).uniform(0.001, 0.1, size=MAX_SAMPLES + 2000)
+        tel = Telemetry()
+        for value in values:
+            tel.observe("latency", value)
+        hist = tel.metrics_snapshot()["histograms"]["latency"]
+        assert len(tel.metrics._histograms["latency"].samples()) == MAX_SAMPLES
+        assert hist["count"] == float(len(values))
+        expected_sum = 0.0
+        for value in values:
+            expected_sum += float(value)
+        assert hist["sum"] == expected_sum
+        assert hist["min"] == values.min() and hist["max"] == values.max()
+        assert hist["min"] <= hist["p99"] <= hist["max"]
