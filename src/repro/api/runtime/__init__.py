@@ -1,9 +1,11 @@
 """The concurrent runtime under the experiment API (see ``docs/runtime.md``).
 
-Three pieces, layered bottom-up:
+Four pieces, layered bottom-up:
 
 * :mod:`~repro.api.runtime.pool` — :class:`WorkerPool` implementations
-  (serial / thread / process) behind one ``submit`` protocol;
+  (serial / thread / process) behind one ``submit`` protocol, and the one
+  child-process primitive (``_ChildWorker``) that both process-pool trials
+  and process serving replicas run on;
 * :mod:`~repro.api.runtime.runner` — :class:`AsyncTrialRunner`, which
   dispatches per-trial tasks as futures with retry, backoff, and straggler
   timeouts (:class:`RetryPolicy`), reporting terminal failures as
@@ -14,8 +16,9 @@ Three pieces, layered bottom-up:
   ``Experiment.run(backend=..., workers=N, pool="thread"|"process")``;
 * :mod:`~repro.api.runtime.proc` — the process-serving substrate:
   :class:`ModelSpec` (handle-free, picklable model recipes) and
-  :class:`ProcessReplica` (serving replicas running in child processes
-  over shared-memory transport, weights mmapped from the registry).
+  :class:`ProcessReplica` (serving replicas running on the pool's child
+  primitive over shared-memory transport, weights mmapped from the
+  registry).
 
 Determinism guarantee: outcomes are always collected in trial order, never
 completion order, so an experiment's :class:`SelectionResult` ranking is

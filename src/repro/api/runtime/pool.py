@@ -1,4 +1,4 @@
-"""Worker pools: the execution substrate of the concurrent runtime.
+"""Worker pools and the one child-process primitive of the runtime.
 
 A :class:`WorkerPool` is a thin, uniform veneer over
 :mod:`concurrent.futures` executors: ``submit`` a callable, get a
@@ -21,10 +21,17 @@ practical spectrum:
   :class:`~concurrent.futures.ProcessPoolExecutor`, whose
   ``BrokenProcessPool`` condemns every pending future.
 
+:class:`_ChildWorker` is the only code in ``repro`` that starts, watches
+and stops a child process.  Pool slots run trials on it, and every
+:class:`~repro.api.runtime.proc.ProcessReplica` runs its model build and
+forwards on one, so the start method, the pipe protocol, the
+unpicklable-outcome downgrade and the stop escalation exist once.
+
 Retry placement: :meth:`WorkerPool.submit_retrying` runs a task under a
 retry policy *inside the slot* (serial/thread pools) or *parent-side around
 the child* (process pool) — the latter is what lets a retry survive the
-death of the child that was running the previous attempt.
+death of the child that was running the previous attempt.  Both run the
+same loop, :func:`_run_with_retries`.
 
 Pools are context managers; :func:`make_pool` is the one-stop factory the
 rest of the runtime uses.
@@ -54,11 +61,12 @@ from repro.exceptions import ConfigurationError, WorkerCrashedError
 
 
 def _run_with_retries(policy: Any, fn: Callable[..., Any], *args: Any) -> Any:
-    """The in-slot retry loop shared by serial and thread pools.
+    """The one retry loop, shared by every pool kind.
 
-    ``policy`` duck-types :class:`~repro.api.runtime.runner.RetryPolicy`
-    (``max_retries`` and ``delay(retry_index)``); this module cannot import
-    it without a cycle.
+    Serial and thread pools run it inside the worker slot; the process pool
+    runs it parent-side, around its child.  ``policy`` duck-types
+    :class:`~repro.api.runtime.runner.RetryPolicy` (``max_retries`` and
+    ``delay(retry_index)``); this module cannot import it without a cycle.
     """
     last_error: Optional[BaseException] = None
     for attempt in range(policy.max_retries + 1):
@@ -196,12 +204,14 @@ class ThreadWorkerPool(_ExecutorPool):
 
 
 def _pool_worker_main(conn) -> None:
-    """A pool child's whole life: recv ``(fn, args, kwargs)``, reply, repeat.
+    """A child's whole life: recv ``(fn, args, kwargs)``, reply, repeat.
 
     Runs in a ``spawn``-ed child process.  Replies are ``("ok", result)`` or
     ``("err", exception)``; an unpicklable result or exception is downgraded
-    to a picklable ``("err", WorkerCrashedError-free RuntimeError)`` so the
-    pipe never wedges.  ``None`` (or EOF) is the shutdown sentinel.
+    to a picklable ``("err", RuntimeError)`` so the pipe never wedges.
+    ``None`` (or EOF) is the shutdown sentinel.  Module globals of the
+    task's own module persist between tasks, which is how a serving replica
+    keeps its built model in the child.
     """
     while True:
         try:
@@ -233,29 +243,50 @@ def _pool_worker_main(conn) -> None:
 
 
 class _ChildWorker:
-    """One persistent spawned child process plus its private pipe."""
+    """One persistent spawned child process plus its private pipe.
 
-    def __init__(self, index: int):
+    ``spawn`` starts every child from a clean interpreter: ``fork`` would
+    clone live threads' locks (spill managers, serve loops) mid-flight.
+    ``name`` is the child's process name (``repro-pool-worker-<i>`` for a
+    pool slot, ``repro-replica-<name>`` for a serving replica).
+    """
+
+    def __init__(self, name: str):
         context = multiprocessing.get_context("spawn")
         self.conn, child_conn = context.Pipe(duplex=True)
         self.process = context.Process(
             target=_pool_worker_main,
             args=(child_conn,),
-            name=f"repro-pool-worker-{index}",
+            name=name,
             daemon=True,
         )
         self.process.start()
         child_conn.close()
 
-    def run(self, fn: Callable[..., Any], args: tuple, kwargs: dict) -> Any:
-        """Ship one task to the child and wait for its reply."""
+    def run(
+        self,
+        fn: Callable[..., Any],
+        args: tuple,
+        kwargs: dict,
+        timeout: Optional[float] = None,
+    ) -> Any:
+        """Ship one task to the child and wait for its reply.
+
+        Raises:
+            WorkerCrashedError: when the child dies before replying, or
+                does not reply within ``timeout`` seconds; either way the
+                child is stopped first.
+        """
         try:
             self.conn.send((fn, args, kwargs))
         except (BrokenPipeError, OSError) as error:
             raise self._crashed(f"send failed: {error}")
+        deadline = None if timeout is None else time.monotonic() + timeout
         while not self.conn.poll(0.05):
             if not self.process.is_alive() and not self.conn.poll(0.05):
                 raise self._crashed("died mid-task")
+            if deadline is not None and time.monotonic() >= deadline:
+                raise self._crashed(f"did not reply within {timeout:g}s")
         try:
             status, payload = self.conn.recv()
         except (EOFError, OSError):
@@ -265,10 +296,10 @@ class _ChildWorker:
         return payload
 
     def _crashed(self, what: str) -> WorkerCrashedError:
+        self.stop(timeout=0.1)
         return WorkerCrashedError(
-            f"worker process {self.process.pid} (slot "
-            f"{self.process.name!r}) {what} "
-            f"(exitcode={self.process.exitcode})"
+            f"worker process {self.process.pid} ({self.process.name!r}) "
+            f"{what} (exitcode={self.process.exitcode})"
         )
 
     def stop(self, timeout: float = 2.0) -> None:
@@ -341,7 +372,9 @@ class ProcessWorkerPool(WorkerPool):
         mid-attempt) is retried like any other failure, on a respawned
         child, per the policy's backoff.
         """
-        return self._threads.submit(self._run_retrying, policy, fn, args)
+        return self._threads.submit(
+            _run_with_retries, policy, self._run_task, fn, args, {}
+        )
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop every child (politely, then by force) and release the slots.
@@ -361,28 +394,17 @@ class ProcessWorkerPool(WorkerPool):
             child.stop()
 
     # ------------------------------------------------------------------ #
-    def _run_retrying(self, policy: Any, fn: Callable[..., Any], args: tuple) -> Any:
-        last_error: Optional[BaseException] = None
-        for attempt in range(policy.max_retries + 1):
-            if attempt > 0:
-                time.sleep(policy.delay(attempt))
-            try:
-                return self._run_task(fn, args, {})
-            except Exception as error:  # noqa: BLE001 - policy decides
-                last_error = error
-        raise last_error  # type: ignore[misc]
-
     def _run_task(self, fn: Callable[..., Any], args: tuple, kwargs: dict) -> Any:
         child = self._ensure_child()
         try:
             return child.run(fn, args, kwargs)
         except WorkerCrashedError:
-            # Drop the corpse; the slot's next task spawns a replacement.
+            # The child is already stopped; the slot's next task spawns a
+            # replacement.
             self._slot.child = None
             with self._lock:
                 if child in self._children:
                     self._children.remove(child)
-            child.stop(timeout=0.1)
             raise
 
     def _ensure_child(self) -> _ChildWorker:
@@ -393,7 +415,7 @@ class ProcessWorkerPool(WorkerPool):
             if self._closed:
                 raise RuntimeError("cannot run tasks on a shut-down ProcessWorkerPool")
             index = len(self._children)
-        child = _ChildWorker(index)
+        child = _ChildWorker(f"repro-pool-worker-{index}")
         self._slot.child = child
         with self._lock:
             self._children.append(child)

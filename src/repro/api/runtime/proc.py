@@ -17,13 +17,19 @@ protocol — lives in :mod:`~repro.api.runtime.pool` and
 * :class:`ProcessReplica` — the parent-side client that looks exactly like
   a :class:`~repro.serving.replica.Replica` (``infer(arrays, pad_to)``,
   ``close()``, ``name``, ``is_spilled``) but executes every forward in a
-  persistent ``spawn``-ed child process.  Request and response arrays ship
-  through two parent-owned :class:`multiprocessing.shared_memory` segments
-  (grown on demand, reused across requests); only tiny metadata tuples
-  travel over the control pipe.
+  persistent child process.  Request and response arrays ship through two
+  parent-owned :class:`multiprocessing.shared_memory` segments (grown on
+  demand, reused across requests); only tiny metadata tuples travel over
+  the control pipe.
 
-Fault containment mirrors the process pool: a child killed mid-request
-fails **only the in-flight micro-batch**, with the typed
+There is one child-process primitive for trials and replicas alike: the
+replica's child is a :class:`~repro.api.runtime.pool._ChildWorker`, the
+same one a process-pool slot runs trials on, and the replica is its client.
+It runs three module-level tasks there: :func:`_child_build` (once per
+child), :func:`_child_infer` (once per micro-batch) and, when the response
+segment must grow first, :func:`_child_write`.  Fault containment is
+therefore the pool's: a child killed mid-request fails **only the
+in-flight micro-batch**, with the typed
 :class:`~repro.exceptions.ReplicaCrashedError`; the replica respawns its
 child lazily on the next request.  Because the parent owns both shared
 segments and unlinks them in ``close()``, a dead child can never leak
@@ -32,7 +38,6 @@ shared memory.
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
@@ -40,7 +45,13 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, ReplicaCrashedError, ServingError
+from repro.api.runtime.pool import _ChildWorker
+from repro.exceptions import (
+    ConfigurationError,
+    ReplicaCrashedError,
+    ServingError,
+    WorkerCrashedError,
+)
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.utils.serialization import probe_picklable
 
@@ -48,17 +59,8 @@ from repro.utils.serialization import probe_picklable
 _ALIGN = 64
 #: initial size of each parent-owned segment (grown on demand, never shrunk)
 _INITIAL_SEGMENT = 1 << 16
-
-
-def spawn_context():
-    """The ``spawn`` multiprocessing context every runtime child uses.
-
-    ``fork`` would duplicate live threads' locks (spill managers, serve
-    loops) into the child mid-flight; ``spawn`` starts from a clean
-    interpreter, which is the only start method whose children are
-    deterministic about what they inherit.
-    """
-    return multiprocessing.get_context("spawn")
+#: how long a replica child may take to build its model before it is stopped
+_BUILD_TIMEOUT_S = 120.0
 
 
 # --------------------------------------------------------------------------- #
@@ -141,18 +143,6 @@ class ModelSpec:
 # --------------------------------------------------------------------------- #
 # Shared-memory array transport
 # --------------------------------------------------------------------------- #
-def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach to a parent-owned segment without adopting its lifecycle.
-
-    ``spawn`` children inherit the parent's resource-tracker process, so the
-    attach's duplicate registration is a set-level no-op there — the parent
-    remains the sole owner and unlinks in ``close()``.  (Deliberately *no*
-    ``resource_tracker.unregister`` here: with a shared tracker that would
-    remove the parent's own registration and break leak cleanup.)
-    """
-    return shared_memory.SharedMemory(name=name)
-
-
 def _layout(leaves: List[Tuple[str, np.ndarray]]) -> Tuple[list, int]:
     """Assign aligned offsets to leaf arrays; return (fields, total_bytes)."""
     fields = []
@@ -255,131 +245,78 @@ def _rebuild_output(structure: Any, leaves: List[np.ndarray]) -> Any:
 
 
 # --------------------------------------------------------------------------- #
-# The replica child
+# The replica child: three tasks run on one _ChildWorker
 # --------------------------------------------------------------------------- #
-def _safe_send(conn, message) -> bool:
-    """Send, downgrading unpicklable payloads to a portable error."""
-    try:
-        conn.send(message)
-        return True
-    except (BrokenPipeError, OSError, EOFError):
-        return False
-    except Exception as error:  # noqa: BLE001 - unpicklable payload
-        try:
-            conn.send(
-                (
-                    "err",
-                    ServingError(
-                        f"reply could not cross the process boundary: "
-                        f"{type(error).__name__}: {error}"
-                    ),
-                )
-            )
-            return True
-        except Exception:  # pragma: no cover - pipe gone mid-downgrade
-            return False
+#: child-process state of a replica child: the built model, its telemetry,
+#: attached segments by name, and an output held while a segment grows
+_child: Dict[str, Any] = {}
 
 
-def _replica_child_main(spec: ModelSpec, conn, telemetry_enabled: bool = False) -> None:
-    """A replica child's whole life: build once, then serve micro-batches.
+def _child_attach(name: str) -> shared_memory.SharedMemory:
+    """Attach (once) to a parent-owned segment without adopting its lifecycle.
 
-    Protocol (parent → child): ``("infer", request_meta, pad_to,
-    response_segment)`` per micro-batch, ``("write", new_segment)`` after
-    granting a grow request, ``("stop",)``/``None``/EOF to exit.  Child →
-    parent: ``("ready", None)`` after the build, then per batch one of
-    ``("ok", response_meta)``, ``("need", nbytes)`` (response segment too
-    small), or ``("err", exception)``.
+    ``spawn`` children inherit the parent's resource-tracker process, so the
+    attach's duplicate registration is a set-level no-op there — the parent
+    remains the sole owner and unlinks in ``close()``.  (Deliberately *no*
+    ``resource_tracker.unregister`` here: with a shared tracker that would
+    remove the parent's own registration and break leak cleanup.)
+    """
+    segments = _child["segments"]
+    if name not in segments:
+        segments[name] = shared_memory.SharedMemory(name=name)
+    return segments[name]
+
+
+def _child_build(spec: ModelSpec, telemetry_enabled: bool) -> list:
+    """Build the spec's model once; return the build's telemetry events.
 
     With ``telemetry_enabled`` the child keeps its own recorder and drains
-    it into every ``"ok"`` reply's metadata (``meta["events"]``) — events
-    ride the existing result channel, so a child killed mid-request ships
-    nothing partial and the parent trace is never torn.
+    it into every reply — events ride the result channel, so a child killed
+    mid-request ships nothing partial and the parent trace is never torn.
     """
     tel = Telemetry() if telemetry_enabled else NULL_TELEMETRY
-    try:
-        with tel.span("replica.build", cat="serving"):
-            model = spec.build()
-    except BaseException as error:  # noqa: BLE001 - mirrored to the parent
-        _safe_send(conn, ("err", error))
-        conn.close()
-        return
-    _safe_send(conn, ("ready", None))
+    with tel.span("replica.build", cat="serving"):
+        model = spec.build()
+    _child.update(model=model, telemetry=tel, segments={}, held=None)
+    return tel.drain()
 
+
+def _child_infer(meta: dict, pad_to: Optional[int], response_name: str) -> tuple:
+    """Forward one micro-batch read from the request segment.
+
+    Returns ``("ok", response_meta)`` once the output is in the response
+    segment, or ``("need", nbytes)`` when that segment is too small: the
+    output is then held until :func:`_child_write` names a grown one.
+    """
     from repro.autograd.tensor import no_grad
     from repro.data.dataloader import Batch
     from repro.serving.replica import pad_rows, request_rows, slice_rows
 
-    segments: Dict[str, shared_memory.SharedMemory] = {}
+    request = _child_attach(meta["segment"])
+    leaves_in = _read_leaves(request, meta["fields"], copy=False)
+    arrays = {key: values for (key, _, _, _), values in zip(meta["fields"], leaves_in)}
+    rows = request_rows(arrays)
+    padded = arrays if pad_to is None else pad_rows(arrays, rows, pad_to)
+    with _child["telemetry"].span("replica.forward", cat="serving", rows=rows), no_grad():
+        output = _child["model"].forward(
+            Batch(arrays={k: np.asarray(v) for k, v in padded.items()})
+        )
+    leaves: List[Tuple[str, np.ndarray]] = []
+    structure = _flatten_output(slice_rows(output, 0, rows), leaves)
+    fields, total = _layout(leaves)
+    _child["held"] = (leaves, structure, fields)
+    if _child_attach(response_name).size < total:
+        return ("need", total)
+    return _child_write(response_name)
 
-    def attach(name: str) -> shared_memory.SharedMemory:
-        segment = segments.get(name)
-        if segment is None:
-            segment = segments[name] = _attach_segment(name)
-        return segment
 
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            break
-        if message is None or message[0] == "stop":
-            break
-        if message[0] != "infer":  # pragma: no cover - protocol hygiene
-            continue
-        _, meta, pad_to, response_name = message
-        try:
-            request = attach(meta["segment"])
-            leaves_in = _read_leaves(request, meta["fields"], copy=False)
-            arrays = {
-                key: values
-                for (key, _, _, _), values in zip(meta["fields"], leaves_in)
-            }
-            rows = request_rows(arrays)
-            padded = arrays if pad_to is None else pad_rows(arrays, rows, pad_to)
-            with tel.span("replica.forward", cat="serving", rows=rows), no_grad():
-                output = model.forward(
-                    Batch(arrays={k: np.asarray(v) for k, v in padded.items()})
-                )
-            output = slice_rows(output, 0, rows)
-            leaves_out: List[Tuple[str, np.ndarray]] = []
-            structure = _flatten_output(output, leaves_out)
-            fields, total = _layout(leaves_out)
-        except BaseException as error:  # noqa: BLE001 - mirrored to the parent
-            _safe_send(conn, ("err", error))
-            continue
-        granted = True
-        while True:
-            response = attach(response_name)
-            if response.size < total:
-                if not _safe_send(conn, ("need", total)):
-                    granted = False
-                    break
-                try:
-                    grant = conn.recv()
-                except (EOFError, OSError):
-                    granted = False
-                    break
-                if not (isinstance(grant, tuple) and grant[0] == "write"):
-                    granted = False
-                    break
-                response_name = grant[1]
-                continue
-            _write_leaves(response, leaves_out, fields)
-            break
-        if granted:
-            reply_meta = {
-                "segment": response_name,
-                "structure": structure,
-                "fields": fields,
-                "events": tel.drain(),
-            }
-            _safe_send(conn, ("ok", reply_meta))
-    for segment in segments.values():
-        try:
-            segment.close()
-        except Exception:  # pragma: no cover - exit-path hygiene
-            pass
-    conn.close()
+def _child_write(response_name: str) -> tuple:
+    """Write the held output into ``response_name``; reply its metadata."""
+    leaves, structure, fields = _child["held"]
+    _child["held"] = None
+    _write_leaves(_child_attach(response_name), leaves, fields)
+    events = _child["telemetry"].drain()
+    return ("ok", {"structure": structure, "fields": fields, "events": events})
 
 
 # --------------------------------------------------------------------------- #
@@ -389,11 +326,12 @@ class ProcessReplica:
     """A replica whose forwards run in a persistent child process.
 
     Drop-in for :class:`~repro.serving.replica.Replica` wherever the
-    router calls ``infer(arrays, pad_to)`` / ``close()``: the child is
-    spawned lazily (or eagerly via :meth:`start`), builds its model from
-    the :class:`ModelSpec` — mmapping registry weights read-only — and then
-    answers micro-batches shipped through two reused shared-memory
-    segments.
+    router calls ``infer(arrays, pad_to)`` / ``close()``: the child — one
+    :class:`~repro.api.runtime.pool._ChildWorker`, the same primitive a
+    process-pool slot runs trials on — is spawned lazily (or eagerly via
+    :meth:`start`), builds its model from the :class:`ModelSpec` —
+    mmapping registry weights read-only — and then answers micro-batches
+    shipped through two reused shared-memory segments.
 
     One request is in flight per replica at a time (the router hands a
     private replica one batch at a time, and the internal lock serialises
@@ -403,10 +341,13 @@ class ProcessReplica:
 
     Raises:
         ConfigurationError: at construction, for a spec that cannot pickle.
-        ReplicaCrashedError: from :meth:`infer`, when the child died with
-            this request in flight.
+        ReplicaCrashedError: from :meth:`infer`/:meth:`start`, when the
+            child died with this request in flight, or its build overran
+            the build wait (the child is stopped either way).
         ServingError: from :meth:`infer`/:meth:`start`, when the child
             failed to build its model.
+        RuntimeError: from :meth:`infer`, when the forward's output or
+            exception could not be pickled back to the parent.
     """
 
     #: API parity with Replica: process replicas are never spill-managed —
@@ -430,8 +371,7 @@ class ProcessReplica:
         self._telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.restarts = -1  # first start is not a restart
         self._lock = threading.Lock()
-        self._proc = None
-        self._conn = None
+        self._worker: Optional[_ChildWorker] = None
         self._request = _OwnedSegment()
         self._response = _OwnedSegment()
         self._closed = False
@@ -447,15 +387,15 @@ class ProcessReplica:
     @property
     def pid(self) -> Optional[int]:
         """The live child's pid (``None`` before first use / after death)."""
-        process = self._proc
-        if process is not None and process.is_alive():
-            return process.pid
+        worker = self._worker
+        if worker is not None and worker.process.is_alive():
+            return worker.process.pid
         return None
 
     def start(self) -> "ProcessReplica":
         """Spawn the child and wait for its model build (idempotent)."""
         with self._lock:
-            self._ensure_child()
+            self._ensure_worker()
         return self
 
     def spill_stats(self) -> Dict[str, int]:
@@ -473,7 +413,7 @@ class ProcessReplica:
         caller.
         """
         with self._lock:
-            self._ensure_child()
+            self._ensure_worker()
             leaves = [
                 (key, np.ascontiguousarray(values))
                 for key, values in sorted(arrays.items())
@@ -483,29 +423,21 @@ class ProcessReplica:
             _write_leaves(request, leaves, fields)
             response = self._response.ensure(_INITIAL_SEGMENT)
             meta = {"segment": request.name, "fields": fields}
-            try:
-                self._conn.send(("infer", meta, pad_to, response.name))
-                reply = self._recv()
-                if reply[0] == "need":
-                    response = self._response.ensure(reply[1])
-                    self._conn.send(("write", response.name))
-                    reply = self._recv()
-            except (BrokenPipeError, EOFError, OSError):
-                raise self._crashed()
-            if reply[0] == "err":
-                raise reply[1]
-            meta = reply[1]
-            events = meta.get("events")
-            if events:
-                self._telemetry.ingest(events)
-            leaves_out = _read_leaves(self._response.shm, meta["fields"], copy=True)
-            return _rebuild_output(meta["structure"], leaves_out)
+            status, reply = self._run(_child_infer, meta, pad_to, response.name)
+            if status == "need":
+                response = self._response.ensure(reply)
+                status, reply = self._run(_child_write, response.name)
+            self._telemetry.ingest(reply["events"])
+            leaves_out = _read_leaves(response, reply["fields"], copy=True)
+            return _rebuild_output(reply["structure"], leaves_out)
 
     def close(self) -> None:
         """Stop the child and unlink both shared segments (idempotent)."""
         with self._lock:
             self._closed = True
-            self._stop_child_locked()
+            worker, self._worker = self._worker, None
+            if worker is not None:
+                worker.stop()
             self._request.destroy()
             self._response.destroy()
 
@@ -526,69 +458,40 @@ class ProcessReplica:
         return f"ProcessReplica({self.name!r}, {state}, restarts={max(self.restarts, 0)})"
 
     # ------------------------------------------------------------------ #
-    def _ensure_child(self) -> None:
+    def _ensure_worker(self) -> None:
         if self._closed:
             raise ServingError(f"replica {self.name!r} is closed")
-        if self._proc is not None and self._proc.is_alive():
+        if self.pid is not None:
             return
-        self._stop_child_locked()
-        context = spawn_context()
-        self._conn, child_conn = context.Pipe(duplex=True)
-        self._proc = context.Process(
-            target=_replica_child_main,
-            args=(self.spec, child_conn, self._telemetry.enabled),
-            name=f"repro-replica-{self.name}",
-            daemon=True,
-        )
-        self._proc.start()
-        child_conn.close()
+        if self._worker is not None:
+            self._worker.stop(timeout=0.1)
+        self._worker = _ChildWorker(f"repro-replica-{self.name}")
         self.restarts += 1
         try:
-            reply = self._recv(timeout=120.0)
-        except (EOFError, OSError):
-            raise self._crashed()
-        if reply[0] == "err":
-            error = reply[1]
-            raise error if isinstance(error, ServingError) else ServingError(
+            events = self._run(
+                _child_build, self.spec, self._telemetry.enabled, timeout=_BUILD_TIMEOUT_S
+            )
+        except ReplicaCrashedError:
+            raise
+        except Exception as error:
+            # A child without a model is useless: the next request respawns.
+            self._worker.stop(timeout=0.1)
+            self._worker = None
+            if isinstance(error, ServingError):
+                raise
+            raise ServingError(
                 f"replica {self.name!r} failed to build its model: "
                 f"{type(error).__name__}: {error}"
-            )
+            ) from error
+        self._telemetry.ingest(events)
 
-    def _recv(self, timeout: Optional[float] = None):
-        """Receive one message, raising ``ReplicaCrashedError`` on child death."""
-        waited = 0.0
-        while not self._conn.poll(0.05):
-            waited += 0.05
-            if timeout is not None and waited >= timeout:
-                raise self._crashed()
-            if not self._proc.is_alive() and not self._conn.poll(0.05):
-                raise self._crashed()
-        return self._conn.recv()
-
-    def _crashed(self) -> ReplicaCrashedError:
-        process, self._proc = self._proc, None
-        exitcode = process.exitcode if process is not None else None
-        return ReplicaCrashedError(
-            f"replica {self.name!r} child process died with a request in "
-            f"flight (exitcode={exitcode}); the replica will respawn on the "
-            "next request"
-        )
-
-    def _stop_child_locked(self) -> None:
-        process, self._proc = self._proc, None
-        conn, self._conn = self._conn, None
-        if conn is not None:
-            try:
-                conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-        if process is not None:
-            process.join(timeout=2.0)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=1.0)
-            if process.is_alive():  # pragma: no cover - SIGKILL backstop
-                process.kill()
-                process.join(timeout=1.0)
-        if conn is not None:
-            conn.close()
+    def _run(self, fn: Callable[..., Any], *args: Any, timeout: Optional[float] = None):
+        """Run one task on the child; a dead child becomes ``ReplicaCrashedError``."""
+        try:
+            return self._worker.run(fn, args, {}, timeout=timeout)
+        except WorkerCrashedError as error:
+            self._worker = None
+            raise ReplicaCrashedError(
+                f"replica {self.name!r} child failed with a request in flight "
+                f"({error}); the replica will respawn on the next request"
+            ) from error

@@ -38,8 +38,10 @@ class RetryPolicy:
 
     ``max_retries`` is the number of *additional* attempts after the first
     (so ``0`` means fail fast).  Attempt ``k`` (1-based retry index) sleeps
-    ``backoff_seconds * backoff_multiplier**(k-1)`` before re-running, inside
-    the worker slot.  ``timeout_seconds``, when set, is the straggler budget
+    ``backoff_seconds * backoff_multiplier**(k-1)`` before re-running: inside
+    the worker slot on serial and thread pools, parent-side on process pools
+    (so a retry outlives the child that ran the failed attempt).
+    ``timeout_seconds``, when set, is the straggler budget
     for one cohort dispatch: outcomes not ready that many seconds after
     dispatch are recorded as timed-out :class:`TrialFault`\\ s instead of
     blocking the experiment.

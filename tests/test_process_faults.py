@@ -141,6 +141,11 @@ def _build_plain():
     return FeedForwardNetwork(config, seed=0)
 
 
+def _build_hung():
+    time.sleep(30.0)
+    return _build_plain()
+
+
 # --------------------------------------------------------------------- #
 # Pool-level containment
 # --------------------------------------------------------------------- #
@@ -279,6 +284,26 @@ class TestProcessReplicaFaults:
             assert replica.restarts == 1
         finally:
             replica.close()
+
+    def test_build_overrunning_the_wait_stops_the_child(self, monkeypatch):
+        import multiprocessing
+
+        from repro.api.runtime import proc
+
+        monkeypatch.setattr(proc, "_BUILD_TIMEOUT_S", 1.0)
+        replica = ProcessReplica(ModelSpec(builder=_build_hung), name="hung")
+        started = time.monotonic()
+        try:
+            with pytest.raises(ReplicaCrashedError):
+                replica.start()
+            assert time.monotonic() - started < 20.0  # not the 30 s build
+        finally:
+            replica.close()
+        alive = [
+            child for child in multiprocessing.active_children()
+            if child.name.startswith("repro-replica-")
+        ]
+        assert alive == []
 
     def test_server_survives_replica_kill(self):
         server = serve(

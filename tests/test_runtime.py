@@ -53,6 +53,14 @@ def _build_trainable(trial):
     return model, optimizer, loader
 
 
+def _return_lock():
+    return threading.Lock()
+
+
+def _raise_with_lock():
+    raise ValueError(threading.Lock())
+
+
 def _build_hoppable(trial):
     model, optimizer, _ = _build_trainable(trial)
     return model, optimizer
@@ -119,6 +127,22 @@ class TestWorkerPools:
             if child.name.startswith("repro-pool-worker")
         ]
         assert alive == []
+
+    def test_unpicklable_outcomes_fail_only_their_task(self):
+        import os
+
+        from repro.api import ProcessWorkerPool
+
+        with ProcessWorkerPool(1) as pool:
+            pid = pool.submit(os.getpid).result(timeout=60)
+            for task in (_return_lock, _raise_with_lock):
+                with pytest.raises(
+                    RuntimeError,
+                    match="task outcome could not cross the process boundary",
+                ):
+                    pool.submit(task).result(timeout=60)
+            # The child survived the downgrade and keeps serving the slot.
+            assert pool.submit(os.getpid).result(timeout=60) == pid
 
 
 # --------------------------------------------------------------------- #

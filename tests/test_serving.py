@@ -340,6 +340,21 @@ class TestProcessServing:
                 start=False,
             )
 
+    def test_segments_grow_for_requests_and_responses_past_64_kib(self):
+        from repro.api import ModelSpec, ProcessReplica
+
+        reference = Replica.resident(_build_wide())
+        rng = np.random.default_rng(12)
+        with ProcessReplica(ModelSpec(builder=_build_wide)) as replica:
+            for rows in (1, 4, 16):
+                x = rng.normal(size=(rows, 4096)).astype(np.float32)
+                response = replica.infer({"features": x}, pad_to=16)
+                expected = reference.infer({"features": x}, pad_to=16)
+                assert np.array_equal(response, expected)
+            # Both segments grew past their initial 64 KiB to hold 256 KiB.
+            assert replica._request.shm.size >= 16 * 4096 * 4
+            assert replica._response.shm.size >= 16 * 4096 * 4
+
     def test_structured_outputs_cross_the_boundary(self):
         from repro.api import ModelSpec, ProcessReplica
 
@@ -350,6 +365,13 @@ class TestProcessServing:
         assert probs.shape == (2, 4)
         assert np.allclose(np.exp(probs), np.exp(probs))  # arrays, not views
         assert total.shape == (2,)
+
+
+def _build_wide():
+    # 4096 float32 features: a 16-row request or response is 256 KiB, four
+    # times the 64 KiB initial shared-memory segment.
+    config = FeedForwardConfig(input_dim=4096, hidden_dims=(32,), num_classes=4096)
+    return FeedForwardNetwork(config, seed=8)
 
 
 class _MultiOutputModel(FeedForwardNetwork):
